@@ -20,6 +20,10 @@ there by exact trigonometric interpolation): the two curves may pass
 within a fraction of a wavelength of each other, and plain same-grid
 trapezoid stalls near 1e-4 in that regime.  All entries absorb the
 arc-length factor |x'(tau)| pi/n.
+
+Every kernel is i H a with a Hankel function H = J + iY and a real
+factor a, so blocks are assembled as separate real and imaginary parts
+(-Y a and J a) and combined once at the end.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ class FarFieldOperator:
 
 class _PairData:
     """Geometry and kernel evaluations shared by all blocks of one
-    (target, source, k) combination."""
+    (target, source, k) combination; all real (see module docstring)."""
 
     def __init__(self, target: DiscretizedBoundary, source: DiscretizedBoundary,
                  k: float):
@@ -105,107 +109,91 @@ class _PairData:
             self.fine = discretize(source.curve, source.n * CROSS_OVERSAMPLE,
                                    source.node_map)
             self.interp = _interp_matrix(source.n, CROSS_OVERSAMPLE)
-        diff = target.x[:, None, :] - self.fine.x[None, :, :]  # (2m, 2nq, 2)
-        self.diff = diff
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        fine = self.fine
+        dx = target.x[:, 0, None] - fine.x[None, :, 0]  # (2m, 2nq)
+        dy = target.x[:, 1, None] - fine.x[None, :, 1]
+        r = np.sqrt(dx * dx + dy * dy)
         if self.same:
             np.fill_diagonal(r, 1.0)  # placeholder; diagonals are analytic
         self.r = r
-        j0, j1, y0, y1 = bessel_j0j1y0y1(k * r)
-        self.j0, self.j1 = j0, j1
-        self.h0 = j0 + 1j * y0
-        self.h1 = j1 + 1j * y1
+        # nu . (x(t) - x(tau)) / r with the target's and the source's normal
+        self.p_tgt = (dx * target.normal[:, 0, None]
+                      + dy * target.normal[:, 1, None]) / r
+        self.p_src = (dx * fine.normal[None, :, 0]
+                      + dy * fine.normal[None, :, 1]) / r
+        self.j0, self.j1, self.y0, self.y1 = bessel_j0j1y0y1(k * r)
         if self.same:
+            # the limits at r = 0, which the logarithmic split takes on
+            # the diagonal
+            np.fill_diagonal(self.j0, 1.0)
+            np.fill_diagonal(self.j1, 0.0)
             n2 = target.size
             sdiff = target.s[:, None] - target.s[None, :]
             log_4sin2 = np.log(4.0 * np.sin(0.5 * sdiff) ** 2 + np.eye(n2))
             np.fill_diagonal(log_4sin2, 0.0)
             self.log_4sin2 = log_4sin2
-            self.off_diag = ~np.eye(n2, dtype=bool)
-
-
-def _clear_diag(mat):
-    np.fill_diagonal(mat, 0.0)
-    return mat
 
 
 def _single_layer_diag(grid: DiscretizedBoundary, k: float):
-    """Diagonal of the smooth part of the arc-length single-layer kernel."""
-    return (0.25j - EULER_GAMMA / (2.0 * np.pi)
-            - np.log(0.5 * k * grid.speed) / (2.0 * np.pi)) * grid.speed
+    """Real part of the diagonal of the smooth part of the arc-length
+    single-layer kernel (its imaginary part is speed / 4)."""
+    return (-(EULER_GAMMA + np.log(0.5 * k * grid.speed)) * grid.speed
+            / (2.0 * np.pi))
 
 
 def _same_curve_matrices(pd: _PairData, kinds):
+    """{kind: stacked (real, imaginary) parts} of the same-curve blocks."""
     g = pd.target
     n = g.n
     k = pd.k
     rmat = log_weight_matrix(n)
     trap = np.pi / n
     speed_row = g.speed[None, :]
+    s_diag = _single_layer_diag(g, k)
+    k_diag = -g.curvature * g.speed / (4.0 * np.pi)
+
+    def log_rule(j, y, a, diag):
+        # i (J + iY) a = M1 ln(4 sin^2((t - tau)/2)) + M2 with real
+        # M1 = -J a / pi and M2 = (-Y a - M1 ln 4 sin^2) + i J a; `diag` is
+        # the real part of M2's closed-form diagonal (J takes its r = 0
+        # limit there, so the imaginary part needs no fix)
+        m1 = (-1.0 / np.pi) * j * a
+        m2 = -y * a - m1 * pd.log_4sin2
+        np.fill_diagonal(m2, diag)
+        return np.stack([rmat * m1 + trap * m2, trap * j * a])
+
     out = {}
-
     if "S" in kinds:
-        m1 = _clear_diag(-(1.0 / (4.0 * np.pi)) * pd.j0 * speed_row.copy())
-        np.fill_diagonal(m1, -(1.0 / (4.0 * np.pi)) * g.speed)
-        m2 = np.where(pd.off_diag,
-                      0.25j * pd.h0 * speed_row - m1 * pd.log_4sin2, 0.0)
-        np.fill_diagonal(m2, _single_layer_diag(g, k))
-        out["S"] = rmat * m1 + trap * m2
-
-    if "K" in kinds or "KT" in kinds:
-        kdiag = -g.curvature * g.speed / (4.0 * np.pi)
+        out["S"] = log_rule(pd.j0, pd.y0, 0.25 * speed_row, s_diag)
     if "K" in kinds:
-        # q = <x(t) - x(tau), nu(tau)> |x'(tau)|
-        q = np.sum(pd.diff * (g.normal * g.speed[:, None])[None, :, :], axis=-1)
-        core = q / pd.r
-        k1 = _clear_diag(-(k / (4.0 * np.pi)) * pd.j1 * core)
-        k2 = np.where(pd.off_diag,
-                      0.25j * k * pd.h1 * core - k1 * pd.log_4sin2, 0.0)
-        np.fill_diagonal(k2, kdiag)
-        out["K"] = rmat * k1 + trap * k2
-
+        out["K"] = log_rule(pd.j1, pd.y1, (0.25 * k) * pd.p_src * speed_row,
+                            k_diag)
     if "KT" in kinds:
-        # q' = <x(tau) - x(t), nu(t)> |x'(tau)|
-        qt = -np.sum(pd.diff * g.normal[:, None, :], axis=-1) * speed_row
-        core = qt / pd.r
-        k1 = _clear_diag(-(k / (4.0 * np.pi)) * pd.j1 * core)
-        k2 = np.where(pd.off_diag,
-                      0.25j * k * pd.h1 * core - k1 * pd.log_4sin2, 0.0)
-        np.fill_diagonal(k2, kdiag)
-        out["KT"] = rmat * k1 + trap * k2
-
+        out["KT"] = log_rule(pd.j1, pd.y1, (-0.25 * k) * pd.p_tgt * speed_row,
+                             k_diag)
     if "T" in kinds:
         # parametric single layer (no arc-length factor) minus its
         # constant-coefficient log part
-        a_sharp = _clear_diag(-(1.0 / (4.0 * np.pi)) * (pd.j0 - 1.0))
-        b = np.where(pd.off_diag,
-                     0.25j * pd.h0
-                     + (1.0 / (4.0 * np.pi)) * pd.j0 * pd.log_4sin2, 0.0)
-        np.fill_diagonal(b, _single_layer_diag(g, k) / g.speed)
-        p_sharp = rmat * a_sharp + trap * b
-
-        dmat = _spectral_diff_matrix(n)
-        tcot = hypersingular_weight_matrix(n)
-
+        p_sharp = log_rule(pd.j0, pd.y0, 0.25, s_diag / g.speed)
+        p_sharp[0] += rmat / (4.0 * np.pi)
         nu_dot = g.normal @ g.normal.T
-        aq = -(k * k / (4.0 * np.pi)) * pd.j0 * nu_dot * speed_row
-        np.fill_diagonal(aq, -(k * k / (4.0 * np.pi)) * g.speed)
-        bq = np.where(pd.off_diag,
-                      0.25j * k * k * pd.h0 * nu_dot * speed_row
-                      - aq * pd.log_4sin2, 0.0)
-        np.fill_diagonal(bq, k * k * _single_layer_diag(g, k))
-        q_block = rmat * aq + trap * bq
-
-        out["T"] = (0.5 * tcot + dmat @ p_sharp @ dmat) / g.speed[:, None] + q_block
+        q_block = log_rule(pd.j0, pd.y0, (0.25 * k * k) * nu_dot * speed_row,
+                           k * k * s_diag)
+        dmat = _spectral_diff_matrix(n)
+        t_block = dmat @ p_sharp @ dmat
+        t_block[0] += 0.5 * hypersingular_weight_matrix(n)
+        out["T"] = t_block / g.speed[:, None] + q_block
 
     return out
 
 
+@lru_cache(maxsize=16)
 def _spectral_diff_matrix(n: int):
     """Trigonometric differentiation matrix on the 2n-node grid.
 
     D[i, j] = (1/2) (-1)^(i-j) cot(pi (i-j) / (2n)), zero diagonal;
     identical to FFT differentiation with the Nyquist mode dropped.
+    Read-only, cached per n.
     """
     m2 = 2 * n
     idx = np.arange(m2)
@@ -213,14 +201,14 @@ def _spectral_diff_matrix(n: int):
     with np.errstate(divide="ignore"):
         mat = 0.5 * (-1.0) ** d / np.tan(np.pi * d / m2)
     np.fill_diagonal(mat, 0.0)
+    mat.setflags(write=False)
     return mat
 
 
 def _cross_curve_matrices(pd: _PairData, kinds):
+    """{kind: stacked (real, imaginary) parts} of the cross-curve blocks."""
     gt, gf = pd.target, pd.fine
     k = pd.k
-    trap = np.pi / gf.n
-    speed_row = gf.speed[None, :]
     dmin = float(np.min(pd.r))
     if dmin < CONTAINMENT_MARGIN:
         warnings.warn(
@@ -229,50 +217,57 @@ def _cross_curve_matrices(pd: _PairData, kinds):
             RuntimeWarning,
             stacklevel=3,
         )
+    # trapezoid weight pi/n times arc length times the 1/4 of (i/4) H
+    w = (0.25 * np.pi / gf.n) * gf.speed
+    parts = np.empty((2,) + pd.r.shape)  # fine-grid (real, imaginary) parts
+    re, im = parts
     out = {}
-    if "S" in kinds:
-        out["S"] = (trap * 0.25j * pd.h0 * speed_row) @ pd.interp
-    if "K" in kinds:
-        q = np.sum(pd.diff * gf.normal[None, :, :], axis=-1)
-        out["K"] = (trap * 0.25j * k * pd.h1 * q / pd.r * speed_row) @ pd.interp
-    if "KT" in kinds:
-        qt = -np.sum(pd.diff * gt.normal[:, None, :], axis=-1)
-        out["KT"] = (trap * 0.25j * k * pd.h1 * qt / pd.r * speed_row) @ pd.interp
-    if "T" in kinds:
-        px = np.sum(pd.diff * gt.normal[:, None, :], axis=-1)
-        py = np.sum(pd.diff * gf.normal[None, :, :], axis=-1)
-        nu_dot = gt.normal @ gf.normal.T
-        kern = (k * pd.h0 * px * py / pd.r**2
-                - 2.0 * pd.h1 * px * py / pd.r**3
-                + pd.h1 * nu_dot / pd.r)
-        out["T"] = (trap * 0.25j * k * kern * speed_row) @ pd.interp
+    for kind in kinds:
+        # the kernel is i (H0 a0 + H1 a1) with real factors a0, a1
+        if kind == "S":
+            terms = [(pd.j0, pd.y0, w)]
+        elif kind == "K":
+            terms = [(pd.j1, pd.y1, (k * w) * pd.p_src)]
+        elif kind == "KT":
+            terms = [(pd.j1, pd.y1, (-k * w) * pd.p_tgt)]
+        else:
+            pp = pd.p_tgt * pd.p_src
+            nu_dot = gt.normal @ gf.normal.T
+            terms = [(pd.j0, pd.y0, (k * k * w) * pp),
+                     (pd.j1, pd.y1, (k * w) * (nu_dot - 2.0 * pp) / pd.r)]
+        (j, y, a), *rest = terms
+        np.multiply(y, a, out=re)
+        np.multiply(j, a, out=im)
+        for j, y, a in rest:
+            re += y * a
+            im += j * a
+        np.negative(re, out=re)
+        # one real matmul maps both parts to the source grid
+        coarse = parts.reshape(-1, parts.shape[-1]) @ pd.interp
+        out[kind] = coarse.reshape(2, gt.size, -1)
     return out
 
 
 def assemble_blocks(target: DiscretizedBoundary, source: DiscretizedBoundary,
                     k: float, kinds=BLOCK_KINDS, target_id=-1, source_id=-1):
-    """Assemble several operator kinds for one (target, source, k) pair,
-    sharing kernel evaluations.  Returns {kind: OperatorBlock}."""
+    """Assemble several S/K/KT/T blocks (see module docstring) for one
+    (target, source, k) pair, sharing kernel evaluations.  Returns
+    {kind: OperatorBlock}."""
+    for kind in kinds:
+        if kind not in BLOCK_KINDS:
+            raise SolverError(f"unknown operator kind {kind!r}")
     pd = _PairData(target, source, k)
     if pd.same:
-        mats = _same_curve_matrices(pd, kinds)
+        parts = _same_curve_matrices(pd, kinds)
     else:
-        mats = _cross_curve_matrices(pd, kinds)
+        parts = _cross_curve_matrices(pd, kinds)
     blocks = {}
-    for kind, mat in mats.items():
-        if not np.all(np.isfinite(mat)):
+    for kind, (re, im) in parts.items():
+        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
             raise SolverError(f"non-finite entries in {kind} block at k={k}")
-        blocks[kind] = OperatorBlock(kind=kind, k=k, matrix=mat,
+        blocks[kind] = OperatorBlock(kind=kind, k=k, matrix=re + 1j * im,
                                      target_id=target_id, source_id=source_id)
     return blocks
-
-
-def assemble_block(target: DiscretizedBoundary, source: DiscretizedBoundary,
-                   k: float, kind: str, target_id=-1, source_id=-1) -> OperatorBlock:
-    """Assemble a single S/K/KT/T block (see module docstring)."""
-    if kind not in BLOCK_KINDS:
-        raise SolverError(f"unknown operator kind {kind!r}")
-    return assemble_blocks(target, source, k, (kind,), target_id, source_id)[kind]
 
 
 def assemble_farfield(source: DiscretizedBoundary, k0: float, directions,

@@ -14,6 +14,7 @@ both exact on trigonometric polynomials of degree < n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,18 +89,24 @@ def _node_matrix(base_row):
     """Circulant matrix M[i, j] = base_row[(i - j) mod 2n].
 
     Valid because both weight families depend only on t_i - t_j and are
-    even in that difference.
+    even in that difference.  Read-only, because callers cache it.
     """
     m2 = base_row.shape[0]
     idx = (np.arange(m2)[:, None] - np.arange(m2)[None, :]) % m2
-    return base_row[idx]
+    mat = base_row[idx]
+    mat.setflags(write=False)
+    return mat
 
 
+@lru_cache(maxsize=16)
 def log_weight_matrix(n: int):
-    """Matrix of R_j(t_i) for collocation at the nodes (O(n) storage build)."""
+    """Matrix of R_j(t_i) for collocation at the nodes (O(n) storage build;
+    read-only, cached per n)."""
     return _node_matrix(log_weights(n, 0.0))
 
 
+@lru_cache(maxsize=16)
 def hypersingular_weight_matrix(n: int):
-    """Matrix of T_j(t_i) for collocation at the nodes."""
+    """Matrix of T_j(t_i) for collocation at the nodes (read-only, cached
+    per n)."""
     return _node_matrix(hypersingular_weights(n, 0.0))

@@ -1,18 +1,12 @@
 """Cylindrical Bessel and Hankel functions for the 2D Helmholtz kernel.
 
-Self-contained evaluation of J0, J1, Y0, Y1 on positive real arguments,
-vectorized over numpy arrays, with relative accuracy around 1e-13 on
-(0, 200].  Two regimes:
-
-* ``x <= 8``: ascending power series (34 terms; the largest term at x=8
-  is ~1e2, so cancellation costs at most ~3 digits).
-* ``x > 8``: Miller's downward recurrence for the J_n ladder, normalized
-  by J_0 + 2*sum J_{2m} = 1, with Y0/Y1 recovered from Neumann-type
-  series in the J_n.  This avoids the accuracy floor of truncated
-  asymptotic expansions at moderate arguments.
-
-The split point and the independent high-precision oracle used to verify
-both branches live in the test suite.
+J0, J1, Y0, Y1 on positive real arguments come from ``scipy.special``
+(Cephes: rational approximations for small arguments, Hankel asymptotic
+expansions with rational corrections for large ones), vectorized over
+numpy arrays.  Against mpmath on [1e-6, 199] their error stays below
+2e-14 of max(|f|, 0.05).  This module adds the domain check, the 0-d
+scalar convention and the Hankel combinations the operators use.  The
+independent high-precision oracle lives in the test suite.
 """
 
 from __future__ import annotations
@@ -20,6 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from scipy import special as ssp
 
 from .errors import DomainError, SingularityError
 
@@ -31,99 +26,6 @@ class HankelPair(NamedTuple):
 
     h0: object
     h1: object
-
-_SERIES_TERMS = 34
-_SPLIT = 8.0
-_RESCALE_LIMIT = 1e250
-_RESCALE_FACTOR = 1e-250
-
-
-def _series_j0j1y0y1(x):
-    """Ascending series for all four functions, x in (0, 8]."""
-    q = 0.25 * x * x  # (x/2)^2
-    half_x = 0.5 * x
-
-    j0 = np.ones_like(x)
-    j1_sum = np.ones_like(x)  # J1 = (x/2) * j1_sum
-    y0_sum = np.zeros_like(x)  # sum (-1)^{k+1} H_k q^k / (k!)^2
-    y1_sum = np.ones_like(x)  # sum (-1)^k (H_k+H_{k+1}) q^k / (k!(k+1)!)
-
-    term0 = np.ones_like(x)  # q^k/(k!)^2, signed
-    term1 = np.ones_like(x)  # q^k/(k!(k+1)!), signed
-    harmonic = 0.0
-    for k in range(1, _SERIES_TERMS + 1):
-        term0 = -term0 * q / (k * k)
-        term1 = -term1 * q / (k * (k + 1))
-        harmonic += 1.0 / k
-        j0 += term0
-        j1_sum += term1
-        y0_sum -= term0 * harmonic
-        y1_sum += term1 * (2.0 * harmonic + 1.0 / (k + 1))
-
-    j1 = half_x * j1_sum
-    log_term = np.log(half_x) + EULER_GAMMA
-    y0 = (2.0 / np.pi) * (log_term * j0 + y0_sum)
-    y1 = (2.0 / np.pi) * (log_term * j1 - 1.0 / x) - (half_x / np.pi) * y1_sum
-    return j0, j1, y0, y1
-
-
-def _miller_j0j1y0y1(x):
-    """Downward-recurrence evaluation for x > 8 (any shape, flat array)."""
-    n_start = int(np.ceil(1.35 * float(np.max(x)))) + 60
-    n_start += n_start % 2  # even start order
-
-    # Neumann-series coefficients per order q (same for every x):
-    #   norm:  J0 + 2 sum_m J_{2m} = 1
-    #   y0:    S0 = sum_m (-1)^{m+1} J_{2m} / m
-    #   y1:    S1 = sum_m (-1)^{m+1} (J_{2m-1} - J_{2m+1}) / m
-    c_norm = np.zeros(n_start + 1)
-    c_y0 = np.zeros(n_start + 1)
-    c_y1 = np.zeros(n_start + 1)
-    c_norm[0] = 1.0
-    c_norm[2::2] = 2.0
-    for q in range(2, n_start + 1, 2):
-        m = q // 2
-        c_y0[q] = (-1.0) ** (m + 1) / m
-    for q in range(1, n_start + 1, 2):
-        m_lo = (q + 1) // 2  # q = 2m-1 term
-        c_y1[q] = (-1.0) ** (m_lo + 1) / m_lo
-        if q >= 3:
-            m_hi = (q - 1) // 2  # q = 2m+1 term
-            c_y1[q] -= (-1.0) ** (m_hi + 1) / m_hi
-
-    j_hi = np.zeros_like(x)  # J_{k+1}
-    j_cur = np.full_like(x, 1e-30)  # J_k, arbitrary seed
-    norm = c_norm[n_start] * j_cur
-    s0 = c_y0[n_start] * j_cur
-    s1 = c_y1[n_start] * j_cur
-    j1_raw = np.zeros_like(x)
-
-    for k in range(n_start, 0, -1):
-        j_lo = (2.0 * k / x) * j_cur - j_hi
-        j_hi = j_cur
-        j_cur = j_lo
-        q = k - 1
-        norm += c_norm[q] * j_cur
-        s0 += c_y0[q] * j_cur
-        s1 += c_y1[q] * j_cur
-        if q == 1:
-            j1_raw = j_cur
-        big = np.abs(j_cur) > _RESCALE_LIMIT
-        if np.any(big):
-            scale = np.where(big, _RESCALE_FACTOR, 1.0)
-            j_cur = j_cur * scale
-            j_hi = j_hi * scale
-            norm = norm * scale
-            s0 = s0 * scale
-            s1 = s1 * scale
-            j1_raw = j1_raw * scale
-
-    j0 = j_cur / norm
-    j1 = j1_raw / norm
-    log_term = np.log(0.5 * x) + EULER_GAMMA
-    y0 = (2.0 / np.pi) * log_term * j0 + (4.0 / np.pi) * (s0 / norm)
-    y1 = (2.0 / np.pi) * (log_term * j1 - j0 / x) - (2.0 / np.pi) * (s1 / norm)
-    return j0, j1, y0, y1
 
 
 def bessel_j0j1y0y1(x):
@@ -147,26 +49,10 @@ def bessel_j0j1y0y1(x):
     arr = np.asarray(x, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
         raise DomainError("Bessel argument must be positive and finite")
-
-    flat = arr.ravel()
-    j0 = np.empty_like(flat)
-    j1 = np.empty_like(flat)
-    y0 = np.empty_like(flat)
-    y1 = np.empty_like(flat)
-
-    small = flat <= _SPLIT
-    if np.any(small):
-        xs = flat[small]
-        j0[small], j1[small], y0[small], y1[small] = _series_j0j1y0y1(xs)
-    if np.any(~small):
-        xl = flat[~small]
-        j0[~small], j1[~small], y0[~small], y1[~small] = _miller_j0j1y0y1(xl)
-
-    shape = arr.shape
-    if shape == ():
-        return float(j0[0]), float(j1[0]), float(y0[0]), float(y1[0])
-    return (j0.reshape(shape), j1.reshape(shape),
-            y0.reshape(shape), y1.reshape(shape))
+    values = (ssp.j0(arr), ssp.j1(arr), ssp.y0(arr), ssp.y1(arr))
+    if arr.shape == ():
+        return tuple(float(v) for v in values)
+    return values
 
 
 def hankel1_01(x) -> HankelPair:

@@ -6,8 +6,9 @@ import pytest
 from scipy import special as ssp
 
 from layerscat.geometry import ParametricCurve, discretize, discretize_pair
-from layerscat.operators import (assemble_block, assemble_blocks,
-                                 assemble_farfield, evaluate_potential)
+from layerscat.errors import SolverError
+from layerscat.operators import (assemble_blocks, assemble_farfield,
+                                 evaluate_potential)
 
 from _oracles import circle_double_layer_offset, circle_eigenvalues
 
@@ -30,7 +31,7 @@ def test_single_layer_constant_density_identity():
     # S[1] on the unit circle = (i pi / 2) J0(k) H0(k) at every node
     k = 2.0
     g = discretize(ParametricCurve.preset("circle", radius=1.0), 32)
-    val = assemble_block(g, g, k, "S").matrix @ np.ones(g.size)
+    val = assemble_blocks(g, g, k, ("S",))["S"].matrix @ np.ones(g.size)
     expected = 0.5j * np.pi * ssp.jv(0, k) * ssp.hankel1(0, k)
     assert np.max(np.abs(val - expected)) < 1e-12
 
@@ -41,7 +42,7 @@ def test_double_layer_laplace_limit():
     ones = np.ones(g.size)
     vals = {}
     for k in (2e-3, 1e-3):
-        vals[k] = assemble_block(g, g, k, "K").matrix @ ones
+        vals[k] = assemble_blocks(g, g, k, ("K",))["K"].matrix @ ones
     assert np.max(np.abs(vals[1e-3] + 0.5)) < 1e-4
     # Richardson in k^2 sharpens the limit by two orders
     extrap = (4 * vals[1e-3] - vals[2e-3]) / 3.0
@@ -53,7 +54,7 @@ def test_cross_block_against_brute_force():
     k = 2.0
     g_t = discretize(ParametricCurve.preset("circle", radius=2.4), 24)
     g_s = discretize(ParametricCurve.preset("circle", radius=0.5), 16)
-    block = assemble_block(g_t, g_s, k, "S").matrix
+    block = assemble_blocks(g_t, g_s, k, ("S",))["S"].matrix
     dens = np.exp(np.cos(g_s.t))
     g_fine = discretize(ParametricCurve.preset("circle", radius=0.5), 2048)
     diff = g_t.x[:, None, :] - g_fine.x[None, :, :]
@@ -72,23 +73,33 @@ def test_cross_block_on_graded_grids_against_brute_force():
     assert g_s.node_map is not None
     dens = np.exp(np.cos(g_s.t))
     g_fine = discretize(ParametricCurve.preset("kite"), 2048)
-    r = np.linalg.norm(g_t.x[:, None, :] - g_fine.x[None, :, :], axis=-1)
+    diff = g_t.x[:, None, :] - g_fine.x[None, :, :]
+    r = np.linalg.norm(diff, axis=-1)
     fine_dens = np.exp(np.cos(g_fine.t))
-    blocks = assemble_blocks(g_t, g_s, k, ("S", "K"))
-    ref_s = (np.pi / 2048) * (0.25j * ssp.hankel1(0, k * r)
-                              * g_fine.speed[None, :]) @ fine_dens
-    q = np.sum((g_t.x[:, None, :] - g_fine.x[None, :, :])
-               * g_fine.normal[None, :, :], axis=-1)
-    ref_k = (np.pi / 2048) * (0.25j * k * ssp.hankel1(1, k * r) * q / r
-                              * g_fine.speed[None, :]) @ fine_dens
-    assert np.max(np.abs(blocks["S"].matrix @ dens - ref_s)) < 1e-12
-    assert np.max(np.abs(blocks["K"].matrix @ dens - ref_k)) < 1e-12
+    blocks = assemble_blocks(g_t, g_s, k)
+    h0, h1 = ssp.hankel1(0, k * r), ssp.hankel1(1, k * r)
+    # (x - y) . nu at the source point y and at the target point x
+    q = np.sum(diff * g_fine.normal[None, :, :], axis=-1)
+    p = np.sum(diff * g_t.normal[:, None, :], axis=-1)
+    nu_dot = g_t.normal @ g_fine.normal.T
+    kernels = {
+        "S": 0.25j * h0,
+        "K": 0.25j * k * h1 * q / r,
+        "KT": -0.25j * k * h1 * p / r,
+        # d/dnu(x) of the K kernel, with d/dr (H1(kr)/r) = k H0/r - 2 H1/r^2
+        "T": 0.25j * k * (k * h0 * p * q / r**2 - 2.0 * h1 * p * q / r**3
+                          + h1 * nu_dot / r),
+    }
+    for kind, kern in kernels.items():
+        ref = (np.pi / 2048) * (kern * g_fine.speed[None, :]) @ fine_dens
+        err = np.max(np.abs(blocks[kind].matrix @ dens - ref))
+        assert err < 1e-12, (kind, err)
 
 
 def test_block_shapes_and_finiteness():
     g0 = discretize(ParametricCurve.preset("rounded_triangle"), 16)
     g1 = discretize(ParametricCurve.preset("apple"), 12)
-    b = assemble_block(g0, g1, 2.0, "K", target_id=0, source_id=1)
+    b = assemble_blocks(g0, g1, 2.0, ("K",), target_id=0, source_id=1)["K"]
     assert b.matrix.shape == (32, 24)
     assert b.target_id == 0 and b.source_id == 1
     assert np.all(np.isfinite(b.matrix.view(float)))
@@ -98,7 +109,13 @@ def test_close_curves_warn():
     g0 = discretize(ParametricCurve.preset("circle", radius=1.0), 16)
     g1 = discretize(ParametricCurve.preset("circle", radius=0.97), 16)
     with pytest.warns(RuntimeWarning):
-        assemble_block(g0, g1, 1.0, "S")
+        assemble_blocks(g0, g1, 1.0, ("S",))
+
+
+def test_unknown_kind_raises():
+    g = discretize(ParametricCurve.preset("circle", radius=1.0), 8)
+    with pytest.raises(SolverError, match="unknown operator kind"):
+        assemble_blocks(g, g, 1.0, ("S", "D"))
 
 
 @pytest.mark.parametrize("name,k,tol", [

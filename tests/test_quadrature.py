@@ -88,3 +88,13 @@ def test_node_matrices_are_translation_invariant():
     # dependence only on (i - j) mod 2n
     assert rmat[3, 5] == rmat[10, 12]
     assert rmat[0, 5] == rmat[5, 10]
+
+
+def test_weight_matrices_are_cached_read_only():
+    # one shared array per n: a caller writing into it would corrupt
+    # every later assembly
+    for build in (log_weight_matrix, hypersingular_weight_matrix):
+        mat = build(10)
+        assert build(10) is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0

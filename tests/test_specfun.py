@@ -1,5 +1,6 @@
-"""Hand-rolled Bessel/Hankel evaluation against the extended-precision
-series oracle and the classical identities."""
+"""Bessel/Hankel evaluation (scipy.special behind the layerscat entry
+points) against the extended-precision series oracle and the classical
+identities."""
 
 import numpy as np
 import pytest
