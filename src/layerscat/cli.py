@@ -81,18 +81,6 @@ def _load_config(args) -> SolverConfig:
     return config
 
 
-def _limit_threads(n):
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-    except ImportError:  # pragma: no cover - optional dependency
-        print("warning: threadpoolctl not installed; --threads ignored",
-              file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(int(n))
-
-
 def _initial_state(args, config: SolverConfig) -> ShapeState:
     center = (0.0, 0.0)
     if args.init_center:
@@ -199,8 +187,6 @@ def _cmd_export_plot(args) -> int:
 def _add_common(parser):
     parser.add_argument("--config", help="solver config JSON path")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="max linear-algebra threads (1 = bitwise reproducible)")
     parser.add_argument("--out", help="output directory (default: cwd)")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config key")
@@ -268,7 +254,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _limit_threads(args.threads)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -96,15 +96,20 @@ class StarlikeShape:
         return r, rp, rpp
 
     def validate(self, floor=RADIUS_FLOOR, n_check=VALIDATION_GRID):
-        """Raise GeometryError unless r(theta) >= floor on a dense grid."""
+        """Raise GeometryError unless the center and r(theta) are finite
+        and r(theta) >= floor on a dense grid; return the grid radii."""
         theta = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
         r = self.radius(theta)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(self.center))):
+            raise GeometryError(
+                f"starlike curve is not finite (center {tuple(self.center)})")
         rmin = float(np.min(r))
         if rmin < floor:
             raise GeometryError(
                 f"starlike radius dips to {rmin:.4g} < floor {floor} "
                 f"(center {tuple(self.center)})"
             )
+        return r
 
 
 def _polar_xyz(center, r, rp, rpp, theta):
@@ -501,10 +506,16 @@ def _polyline(curve: ParametricCurve, n_check: int):
     return curve.point(t)
 
 
-def _segments_intersect(p, q):
+def _segments(pts):
+    """Segments (N, 2, 2) of the closed polyline through pts (N, 2)."""
+    return np.stack([pts, np.roll(pts, -1, axis=0)], axis=1)
+
+
+def _segments_intersect(p, q, ignore=None):
     """Any proper intersection between segment sets p and q.
 
-    p, q: arrays (Np, 2, 2) / (Nq, 2, 2) of segment endpoints.
+    p, q: arrays (Np, 2, 2) / (Nq, 2, 2) of segment endpoints; the pairs
+    where the boolean (Np, Nq) mask ``ignore`` is set do not count.
     """
     a, b = p[:, None, 0], p[:, None, 1]  # (Np, 1, 2)
     c, d = q[None, :, 0], q[None, :, 1]  # (1, Nq, 2)
@@ -517,6 +528,8 @@ def _segments_intersect(p, q):
     d3 = cross(d - c, a - c)
     d4 = cross(d - c, b - c)
     hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+    if ignore is not None:
+        hit &= ~ignore
     return bool(np.any(hit))
 
 
@@ -526,25 +539,31 @@ def curve_is_simple(curve: ParametricCurve, n_check=VALIDATION_GRID) -> bool:
         # positive radius makes a starlike curve simple by construction
         curve.shape.validate()
         return True
-    pts = _polyline(curve, n_check)
-    seg = np.stack([pts, np.roll(pts, -1, axis=0)], axis=1)  # (N, 2, 2)
-    a, b = seg[:, None, 0], seg[:, None, 1]
-    c, d = seg[None, :, 0], seg[None, :, 1]
+    seg = _segments(_polyline(curve, n_check))
+    gap = np.abs(np.subtract.outer(np.arange(n_check), np.arange(n_check)))
+    return not _segments_intersect(seg, seg,
+                                   ignore=(gap <= 1) | (gap == n_check - 1))
 
-    def cross(u, v):
-        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
-    d1 = cross(b - a, c - a)
-    d2 = cross(b - a, d - a)
-    d3 = cross(d - c, a - c)
-    d4 = cross(d - c, b - c)
-    hit = (d1 * d2 < 0) & (d3 * d4 < 0)
-    n = len(pts)
-    idx = np.arange(n)
-    adjacent = (np.abs(idx[:, None] - idx[None, :]) <= 1) | (
-        np.abs(idx[:, None] - idx[None, :]) == n - 1
-    )
-    return not bool(np.any(hit & ~adjacent))
+def _checked_polyline(curve: ParametricCurve, n_check: int):
+    """Validate one curve and return its polyline at n_check parameters.
+
+    A starlike curve must pass ``StarlikeShape.validate``, whose radii
+    double as the polyline's on the validation grid; a preset must be
+    simple.
+    """
+    if curve.kind != "starlike":
+        if not curve_is_simple(curve, n_check):
+            raise GeometryError(
+                f"preset curve {curve.kind!r} polyline self-intersects")
+        return _polyline(curve, n_check)
+    t = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
+    r = curve.shape.validate()
+    if n_check != VALIDATION_GRID:
+        r = curve.shape.radius(t)
+    # the points of ``_polar_xyz``, without the derivatives
+    return curve.shape.center + r[:, None] * np.stack([np.cos(t), np.sin(t)],
+                                                      axis=-1)
 
 
 def _points_in_polygon(points, poly):
@@ -559,45 +578,82 @@ def _points_in_polygon(points, poly):
     return crossings % 2 == 1
 
 
-def _min_point_polyline_distance(points, poly):
-    """Minimum distance from each point to a closed polyline, then overall min."""
-    a = poly  # (Nv, 2)
-    b = np.roll(poly, -1, axis=0)
-    ab = b - a  # (Nv, 2)
-    ab2 = np.maximum(np.sum(ab * ab, axis=1), 1e-300)
-    ap = points[:, None, :] - a[None, :, :]  # (Np, Nv, 2)
-    s = np.clip(np.sum(ap * ab[None, :, :], axis=2) / ab2[None, :], 0.0, 1.0)
-    closest = a[None, :, :] + s[:, :, None] * ab[None, :, :]
-    d = np.linalg.norm(points[:, None, :] - closest, axis=2)
-    return float(np.min(d))
+def _point_segment_distances(points, a, ab, ab2):
+    """|p - c| row by row, c the point of segment a + s ab closest to p."""
+    ap = points - a
+    s = np.clip((ap[:, 0] * ab[:, 0] + ap[:, 1] * ab[:, 1]) / ab2, 0.0, 1.0)
+    diff = points - (a + s[:, None] * ab)
+    return np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+
+
+def _polyline_separation(p, q):
+    """Minimum distance between the closed polylines p and q, and the
+    longest segment of each.
+
+    The minimum runs over all (vertex of one, segment of the other)
+    pairs, but ``_point_segment_distances`` is evaluated only on the pairs
+    that can attain it (see ``validate_pair``), so it equals the
+    all-pairs minimum bit for bit.
+    """
+    ab_p, ab_q = np.roll(p, -1, axis=0) - p, np.roll(q, -1, axis=0) - q
+    ab2_p, ab2_q = (np.maximum(np.sum(ab * ab, axis=1), 1e-300)
+                    for ab in (ab_p, ab_q))
+    l_p, l_q = float(np.sqrt(np.max(ab2_p))), float(np.sqrt(np.max(ab2_q)))
+    pp, qq = np.sum(p * p, axis=1), np.sum(q * q, axis=1)
+    # squared vertex distances |p_i - q_j|^2 = |p_i|^2 + |q_j|^2 - 2 p_i.q_j;
+    # the slack covers the roundoff of this form
+    gram = p @ q.T
+    gram *= -2.0
+    gram += pp[:, None]
+    gram += qq
+    slack = 1e-12 * (np.max(pp) + np.max(qq))
+    d_v = np.sqrt(max(float(np.min(gram)), 0.0) + slack)
+    reach = (d_v + 0.5 * max(l_p, l_q))**2 + slack
+    i, j = np.divmod(np.flatnonzero(gram <= reach), q.shape[0])
+    dmin = np.inf
+    for pts, at, poly, end, ab, ab2 in ((p, i, q, j, ab_q, ab2_q),
+                                        (q, j, p, i, ab_p, ab2_p)):
+        # vertex ``end`` of poly ends its segments end - 1 and end
+        at, seg = np.concatenate([at, at]), np.concatenate([end, end - 1])
+        d = _point_segment_distances(pts[at], poly[seg], ab[seg], ab2[seg])
+        dmin = min(dmin, float(np.min(d)))
+    return dmin, l_p, l_q
 
 
 def validate_pair(outer: ParametricCurve, inner: ParametricCurve,
-                  margin=CONTAINMENT_MARGIN, n_check=VALIDATION_GRID):
-    """Check the buried curve lies strictly inside the outer one.
+                  margin=CONTAINMENT_MARGIN, n_check=VALIDATION_GRID) -> float:
+    """Check the buried curve lies strictly inside the outer one and
+    return the minimum distance between their polylines.
 
-    Raises GeometryError if any inner node falls outside the outer
-    polygon, the polylines come closer than ``margin``, or they
-    intersect.  Starlike inputs are also radius-validated.
+    Raises GeometryError if a starlike radius is not finite or dips
+    below RADIUS_FLOOR, a preset polyline self-intersects, any inner
+    node falls outside the outer polygon, the polylines come closer than
+    ``margin``, or they intersect.  Both polyline checks are exact, with
+    L_max the longest segment:
+
+    * candidate reach: the minimum over (vertex, segment) pairs is at
+      most the smallest vertex-to-vertex distance d_v, and the point of
+      a segment closest to a vertex lies within half the segment's
+      length of one of its endpoints, so only segments with an endpoint
+      within d_v + L_max / 2 of the vertex (plus a roundoff slack) are
+      evaluated;
+    * crossing bound: if segments AB and CD cross, an endpoint of AB
+      lies within |AB| / 2 of CD and one of CD within |CD| / 2 of AB, so
+      the polylines cannot cross when the minimum distance exceeds half
+      the smaller of the two curves' L_max; the all-pairs crossing test
+      runs only otherwise.
     """
-    for c in (outer, inner):
-        if c.kind == "starlike":
-            c.shape.validate()
-        elif not curve_is_simple(c, n_check):
-            raise GeometryError(f"preset curve {c.kind!r} polyline self-intersects")
-    pts_outer = _polyline(outer, n_check)
-    pts_inner = _polyline(inner, n_check)
+    pts_outer = _checked_polyline(outer, n_check)
+    pts_inner = _checked_polyline(inner, n_check)
     if not np.all(_points_in_polygon(pts_inner, pts_outer)):
         raise GeometryError("buried boundary is not strictly inside the interface")
-    dmin = min(
-        _min_point_polyline_distance(pts_inner, pts_outer),
-        _min_point_polyline_distance(pts_outer, pts_inner),
-    )
+    dmin, l_outer, l_inner = _polyline_separation(pts_outer, pts_inner)
     if dmin < margin:
         raise GeometryError(
             f"boundaries too close: min distance {dmin:.4g} < margin {margin}"
         )
-    seg_o = np.stack([pts_outer, np.roll(pts_outer, -1, axis=0)], axis=1)
-    seg_i = np.stack([pts_inner, np.roll(pts_inner, -1, axis=0)], axis=1)
-    if _segments_intersect(seg_o, seg_i):
+    # the relative slack keeps the bound safe against roundoff in dmin
+    if (2.0 * dmin <= min(l_outer, l_inner) * (1.0 + 1e-9)
+            and _segments_intersect(_segments(pts_outer), _segments(pts_inner))):
         raise GeometryError("interface and buried boundary polylines intersect")
+    return dmin

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConfigurationError, DataFormatError, SolverError, StageAbortError
+from .errors import (ConfigurationError, DataFormatError, GeometryError,
+                     SolverError, StageAbortError)
 from .forward import (LAMBDA_POLE_GUARD, DensityVector, MediumParams,
                       assemble_system, observation_directions, plane_wave_data)
 from .frechet import canonical_directions, jacobian
@@ -65,9 +66,11 @@ class ShapeState:
             raise ConfigurationError(f"unknown form {form!r}")
         return replace(self, active_form=form)
 
-    def validate_geometry(self):
+    def validate_geometry(self) -> float:
+        """Raise GeometryError unless the pair is valid; return the
+        minimum distance between the two boundaries' polylines."""
         c0, c1 = self.curves()
-        validate_pair(c0, c1)
+        return validate_pair(c0, c1)
 
 
 @dataclass
@@ -134,6 +137,7 @@ class IterationRecord:
     halvings: int = 0
     discrepancy_infeasible: bool = False
     linearized_ratio: float | None = None
+    min_separation: float | None = None  # of the geometry after the step
     stopped: str | None = None
 
 
@@ -313,18 +317,20 @@ def apply_step(state: ShapeState, delta, form: str, include_center: bool,
                modes: int):
     """Apply the LM update, halving it while the geometry is invalid.
 
-    Returns (new_state, halvings); raises StageAbortError after
-    STEP_HALVINGS failed halvings.
+    Returns (new_state, halvings, min_separation), the last the minimum
+    distance between the new boundaries; raises StageAbortError after
+    STEP_HALVINGS failed halvings.  Only a GeometryError halves the
+    step; any other error propagates.
     """
     step = np.asarray(delta, dtype=float)
     for halvings in range(STEP_HALVINGS + 1):
         cand = _candidate_state(state, step, form, include_center, modes)
         try:
-            cand.validate_geometry()
-        except Exception:
+            separation = cand.validate_geometry()
+        except GeometryError:
             step = 0.5 * step
             continue
-        return cand, halvings
+        return cand, halvings, separation
     raise StageAbortError(
         f"step rejected after {STEP_HALVINGS} halvings (invalid geometry)")
 
@@ -405,8 +411,8 @@ def newton_iteration(state: ShapeState, data, k0: float, config: SolverConfig):
         rnorm = float(np.linalg.norm(residual))
         lin_ratio = float(np.linalg.norm(jac @ delta_c + residual)) / rnorm
         try:
-            state, halvings = apply_step(state, delta_c, form,
-                                         include_center, config.modes)
+            state, halvings, separation = apply_step(
+                state, delta_c, form, include_center, config.modes)
         except StageAbortError as exc:
             exc.records = records  # type: ignore[attr-defined]
             exc.state = state  # type: ignore[attr-defined]
@@ -415,6 +421,7 @@ def newton_iteration(state: ShapeState, data, k0: float, config: SolverConfig):
         rec.halvings = halvings
         rec.discrepancy_infeasible = infeasible
         rec.linearized_ratio = lin_ratio
+        rec.min_separation = separation
         state = state.with_form(form)
     return state, records
 

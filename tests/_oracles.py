@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own numerics:
 extended-precision ascending series (mpmath) for the cylinder functions,
-scipy.special for circle-operator eigenvalues, and brute-force
-quadrature where a reference integral is needed.
+scipy.special for circle-operator eigenvalues, brute-force quadrature
+where a reference integral is needed, and all-pairs polyline distance
+and crossing tests for the geometry safeguard.
 """
 
 import mpmath as mp
@@ -70,3 +71,33 @@ def circle_double_layer_offset(radius: float, k: float, m: int, rho: float):
     if rho > radius:
         return 0.5j * np.pi * radius * k * ssp.jvp(m, z) * ssp.hankel1(m, k * rho)
     return 0.5j * np.pi * radius * k * ssp.h1vp(m, z) * ssp.jv(m, k * rho)
+
+
+def min_point_polyline_distance(points, poly):
+    """Minimum distance from the points to the closed polyline through
+    ``poly``: every point against every segment, as (Np, Nv) arrays."""
+    a = poly  # (Nv, 2)
+    b = np.roll(poly, -1, axis=0)
+    ab = b - a  # (Nv, 2)
+    ab2 = np.maximum(np.sum(ab * ab, axis=1), 1e-300)
+    ap = points[:, None, :] - a[None, :, :]  # (Np, Nv, 2)
+    s = np.clip(np.sum(ap * ab[None, :, :], axis=2) / ab2[None, :], 0.0, 1.0)
+    closest = a[None, :, :] + s[:, :, None] * ab[None, :, :]
+    d = np.linalg.norm(points[:, None, :] - closest, axis=2)
+    return float(np.min(d))
+
+
+def polylines_cross(p, q):
+    """Any proper crossing between a segment of the closed polyline
+    through ``p`` and one through ``q``, testing all segment pairs."""
+    a, b = p[:, None, :], np.roll(p, -1, axis=0)[:, None, :]  # (Np, 1, 2)
+    c, d = q[None, :, :], np.roll(q, -1, axis=0)[None, :, :]  # (1, Nq, 2)
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    d1 = cross(b - a, c - a)
+    d2 = cross(b - a, d - a)
+    d3 = cross(d - c, a - c)
+    d4 = cross(d - c, b - c)
+    return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))

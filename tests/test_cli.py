@@ -57,11 +57,41 @@ def test_invert_and_export_plot(tmp_path, small_config_path, capsys):
     assert "classification:" in captured
     doc = read_trace(out / "trace.json")
     assert len(doc["iterations"]) >= 1
+    # the separation of each step's result; no step, no separation
+    stepped = [r for r in doc["iterations"] if r["beta"] is not None]
+    assert stepped and all(0.05 <= r["min_separation"] < 2.0 for r in stepped)
+    assert all(r["min_separation"] is None
+               for r in doc["iterations"] if r["beta"] is None)
     assert (out / "final_outer.csv").exists()
     assert main(["export-plot", "--trace", str(out / "trace.json"),
                  "--out", str(out / "plots")]) == 0
     n_iter = len(doc["iterations"])
     assert len(list((out / "plots").glob("*.csv"))) == 2 * n_iter
+
+
+def test_export_plot_reads_trace_without_separation(tmp_path):
+    # a trace written before iteration records carried min_separation
+    record = {"k0": 2.0, "m": 0, "err": 0.5, "lambda1": 10.0, "tau1": 0.1,
+              "form": "lambda", "r0_coeffs": [2.4, 0.1, 0.0],
+              "r1_coeffs": [0.5, 0.0, 0.05], "center1": [0.1, 0.0],
+              "beta": 0.125, "halvings": 0, "discrepancy_infeasible": False,
+              "linearized_ratio": 0.8, "stopped": None}
+    doc = {"iterations": [record, dict(record, m=1, stopped="max_iterations")],
+           "stage_final": [[2.0, 0.5, 10.0, False]],
+           "classification": "inconclusive"}
+    path = tmp_path / "old_trace.json"
+    path.write_text(json.dumps(doc))
+    assert read_trace(path)["iterations"] == doc["iterations"]
+    assert main(["export-plot", "--trace", str(path),
+                 "--out", str(tmp_path / "plots")]) == 0
+    assert len(list((tmp_path / "plots").glob("*.csv"))) == 4
+
+
+def test_threads_flag_rejected(tmp_path, small_config_path, capsys):
+    assert main(["synth", "--config", str(small_config_path), "--threads", "1",
+                 "--truth-outer", "circle:2.0", "--truth-inner", "circle:0.8",
+                 "--truth-lambda1", "1", "--out", str(tmp_path)]) == 1
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_forward_writes_farfield(tmp_path, small_config_path):

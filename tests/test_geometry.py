@@ -1,15 +1,21 @@
 """Curve evaluation, discretization, spectral differentiation, and the
 geometry validity checks."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerscat.errors import ConfigurationError, GeometryError
-from layerscat.geometry import (ParametricCurve, StarlikeShape, curve_is_simple,
+from layerscat.geometry import (CONTAINMENT_MARGIN, VALIDATION_GRID,
+                                ParametricCurve, StarlikeShape, curve_is_simple,
                                 discretize, discretize_pair, eval_curve,
                                 spectral_derivative, validate_pair)
+from layerscat.geometry import _points_in_polygon, _polyline_separation
+
+from _oracles import min_point_polyline_distance, polylines_cross
 
 PRESETS = ("apple", "kite", "rounded_square", "rounded_triangle")
 
@@ -189,3 +195,100 @@ def test_curves_immutable():
     s = StarlikeShape((0.0, 0.0), [1.0])
     with pytest.raises(ValueError):
         s.coeffs[0] = 2.0
+
+
+def test_non_finite_radius_rejected():
+    coeffs = np.array([1.0, 0.1, np.nan, 0.0, 0.2])
+    with pytest.raises(GeometryError, match="not finite"):
+        StarlikeShape((0.0, 0.0), coeffs).validate()
+    with pytest.raises(GeometryError, match="not finite"):
+        StarlikeShape((0.0, np.inf), [1.0]).validate()
+    with pytest.raises(GeometryError, match="not finite"):
+        validate_pair(ParametricCurve.preset("circle", radius=2.0),
+                      ParametricCurve.starlike(StarlikeShape((0.0, 0.0),
+                                                             coeffs)))
+
+
+def _random_pair(rng, modes=25):
+    """Smooth random starlike pair: outer around the origin, inner at a
+    random center; many pairs overlap, touch or dip below the floor."""
+    l = np.arange(1, modes + 1, dtype=float)
+    decay = np.concatenate([l, l]) ** -1.5
+    outer = np.concatenate([[rng.uniform(1.5, 2.5)], rng.uniform(0.0, 0.6)
+                            * decay * rng.standard_normal(2 * modes)])
+    inner = np.concatenate([[rng.uniform(0.3, 1.2)], rng.uniform(0.0, 0.4)
+                            * decay * rng.standard_normal(2 * modes)])
+    return (ParametricCurve.starlike(StarlikeShape((0.0, 0.0), outer)),
+            ParametricCurve.starlike(StarlikeShape(rng.uniform(-1, 1, 2),
+                                                   inner)))
+
+
+def _spiked_pair(rng, modes=25):
+    """Outer circle of radius 2 with a narrow inward spike (a Fejer
+    kernel) at a node of the 24-point grid, and an inner circle whose
+    24-gon has the spike tip inside, between two of its vertices: at 24
+    check points every inner vertex is inside and far enough, but the
+    polylines cross."""
+    n = modes + 1
+    l = np.arange(1, n)
+    phi = 2.0 * np.pi * rng.integers(24) / 24
+    depth, rho = rng.uniform(0.6, 0.8), rng.uniform(1.45, 1.6)
+    w = -depth * 2.0 * (1.0 - l / n) / n
+    outer = np.concatenate([[2.0 - depth / n], w * np.cos(l * phi),
+                            w * np.sin(l * phi)])
+    tip = (2.0 - depth) * np.array([np.cos(phi), np.sin(phi)])
+    axis = phi + np.pi / 24
+    center = tip - (rho * np.cos(np.pi / 24) - rng.uniform(0.06, 0.1)) * \
+        np.array([np.cos(axis), np.sin(axis)])
+    inner = np.zeros(2 * modes + 1)
+    inner[0] = rho
+    return (ParametricCurve.starlike(StarlikeShape((0.0, 0.0), outer)),
+            ParametricCurve.starlike(StarlikeShape(center, inner)))
+
+
+def _all_pairs_check(outer, inner, n_check):
+    """(reason, polylines, dmin) of the brute-force pair checks; reason
+    None means accepted, dmin is None before the distance check."""
+    for c in (outer, inner):
+        try:
+            c.shape.validate()
+        except GeometryError:
+            return "radius dips", None, None
+    t = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
+    po, pi = outer.point(t), inner.point(t)
+    if not np.all(_points_in_polygon(pi, po)):
+        return "not strictly inside", None, None
+    dmin = min(min_point_polyline_distance(pi, po),
+               min_point_polyline_distance(po, pi))
+    if dmin < CONTAINMENT_MARGIN:
+        return "too close", (po, pi), dmin
+    if polylines_cross(po, pi):
+        return "intersect", (po, pi), dmin
+    return None, (po, pi), dmin
+
+
+@pytest.mark.parametrize("n_check", [VALIDATION_GRID, 24])
+def test_pair_checks_match_all_pairs_oracle(n_check):
+    rng = np.random.default_rng(20121122)
+    pairs = [_random_pair(rng) for _ in range(200)]
+    pairs += [_spiked_pair(rng) for _ in range(10)]
+    seen = collections.Counter()
+    fallback_accepts = 0
+    for outer, inner in pairs:
+        reason, polylines, dmin = _all_pairs_check(outer, inner, n_check)
+        seen[reason] += 1
+        if reason is None:
+            assert validate_pair(outer, inner, n_check=n_check) == dmin
+        else:
+            with pytest.raises(GeometryError, match=reason):
+                validate_pair(outer, inner, n_check=n_check)
+        if polylines is not None:
+            sep, l_outer, l_inner = _polyline_separation(*polylines)
+            assert sep == dmin
+            if reason is None and 2.0 * dmin <= min(l_outer, l_inner):
+                fallback_accepts += 1
+    assert seen[None] >= 50 and sum(seen.values()) - seen[None] >= 50, seen
+    assert seen["too close"] >= 1, seen
+    if n_check == 24:
+        # the margin is below L_max / 2, so the crossing test runs
+        assert seen["intersect"] >= 1 and fallback_accepts >= 1, seen

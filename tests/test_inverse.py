@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerscat.errors import (ConfigurationError, DataFormatError,
-                              StageAbortError)
+                              GeometryError, StageAbortError)
 from layerscat.forward import observation_directions
+from layerscat.geometry import StarlikeShape
 from layerscat.inverse import (ShapeState, SolverConfig, apply_step,
                                choose_beta, classify_boundary, discrete_l2_sq,
                                hs_norm_sq, lm_step, multi_frequency_drive,
@@ -155,9 +156,9 @@ def test_apply_step_halves_and_aborts():
     # a step that would push r1 negative must be halved
     delta = np.zeros(2 * n + 3)
     delta[n] = -0.79
-    new, halvings = apply_step(state, delta, "lambda", True, 1)
+    new, halvings, separation = apply_step(state, delta, "lambda", True, 1)
     assert halvings >= 1
-    new.validate_geometry()
+    assert new.validate_geometry() == separation
     # an absurd step exhausts the halvings
     delta[n] = -1e9
     with pytest.raises(StageAbortError):
@@ -168,9 +169,38 @@ def test_apply_step_nudges_lambda_pole():
     state = ShapeState.initial(r0=2.0, r1=0.8, lambda1=-0.9, modes=1)
     delta = np.zeros(7)
     delta[-1] = -0.1  # lands exactly on the mu1 pole at -1
-    new, _ = apply_step(state, delta, "lambda", True, 1)
+    new, _, _ = apply_step(state, delta, "lambda", True, 1)
     assert abs(1.0 + new.lambda1) >= 1e-6
     assert new.lambda1 * new.tau1 == pytest.approx(1.0)
+
+
+def test_apply_step_halves_only_on_geometry_errors(monkeypatch):
+    import layerscat.inverse as inv
+
+    state = ShapeState.initial(r0=2.0, r1=0.8, lambda1=4.0, modes=1)
+    delta = np.zeros(7)
+    delta[0] = 0.1
+    real_validate = inv.validate_pair
+    calls = []
+
+    def reject_once(outer, inner):
+        calls.append(outer)
+        if len(calls) == 1:
+            raise GeometryError("forced rejection")
+        return real_validate(outer, inner)
+
+    monkeypatch.setattr(inv, "validate_pair", reject_once)
+    new, halvings, separation = apply_step(state, delta, "lambda", True, 1)
+    assert halvings == 1 and len(calls) == 2
+    assert new.gamma0.coeffs[0] == 2.05
+    assert separation == pytest.approx(2.05 - 0.8, rel=1e-3)
+
+    def broken(outer, inner):
+        raise RuntimeError("not a geometry failure")
+
+    monkeypatch.setattr(inv, "validate_pair", broken)
+    with pytest.raises(RuntimeError, match="not a geometry failure"):
+        apply_step(state, delta, "lambda", True, 1)
 
 
 def test_penalty_symmetry_of_step():
@@ -230,6 +260,23 @@ def test_newton_iteration_contracts_by_rho():
     for rec in records:
         if rec.beta is not None and not rec.discrepancy_infeasible:
             assert abs(rec.linearized_ratio - config.rho) <= 1.5e-2 * config.rho
+
+
+def test_records_carry_the_separation_after_the_step():
+    config, state, _ = _tiny_circle_problem()
+    truth = ShapeState.initial(r0=2.2, r1=0.7, lambda1=3.0, modes=2)
+    incident = observation_directions(1)
+    obs = observation_directions(16)
+    _, _, _, data, _ = _forward_all(truth, 2.0, config, incident, obs)
+    _, records = newton_iteration(state, data, 2.0, config)
+    assert len(records) >= 2
+    for rec, after in zip(records, records[1:]):
+        moved = ShapeState(gamma0=StarlikeShape((0.0, 0.0), after.r0_coeffs),
+                           gamma1=StarlikeShape(after.center1,
+                                                after.r1_coeffs),
+                           lambda1=after.lambda1, tau1=after.tau1)
+        assert rec.min_separation == moved.validate_geometry()
+    assert records[-1].min_separation is None
 
 
 def test_multi_frequency_requires_matching_frequencies():
