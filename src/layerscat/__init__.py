@@ -12,11 +12,10 @@ from .errors import (ConfigurationError, DataFormatError, DomainError,
                      SolverError, StageAbortError)
 from .forward import (BoundaryData, BoundaryTraces, DensityVector,
                       MediumParams, TransmissionSystem, assemble_system,
-                      incident_directions, observation_directions,
-                      oracle_concentric_circles, plane_wave_data,
-                      solve_plane_wave, solve_transmission)
+                      observation_directions, oracle_concentric_circles,
+                      plane_wave_data, solve_plane_wave)
 from .geometry import (DiscretizedBoundary, NodeMap, ParametricCurve,
-                       StarlikeShape, discretize, discretize_pair, eval_curve,
+                       StarlikeShape, discretize, discretize_pair,
                        spectral_derivative, validate_pair)
 from .inverse import (IterationRecord, ReconstructionTrace, ShapeState,
                       SolverConfig, classify_boundary, choose_beta,

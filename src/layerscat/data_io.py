@@ -27,9 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
-from .forward import (assemble_system, incident_directions,
-                      observation_directions, plane_wave_data)
-from .geometry import ParametricCurve, discretize_pair
+from .forward import observation_directions, solve_plane_wave
+from .geometry import ParametricCurve
 from .inverse import ReconstructionTrace, SolverConfig, discrete_l2_sq
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -98,22 +97,12 @@ def synthesize(curve0: ParametricCurve, curve1: ParametricCurve,
     very large / very small values stand in for sound-soft / sound-hard
     buried obstacles.
     """
-    inc = incident_directions(config.num_incident)
+    inc = observation_directions(config.num_incident)
     obs = observation_directions(config.n_obs)
-    g0, g1 = discretize_pair(curve0, curve1, config.n_synth)
-    values = np.empty((len(config.frequencies), config.num_incident,
-                       config.n_obs), dtype=complex)
-    for qi, k0 in enumerate(config.frequencies):
-        params = config.medium(k0, lambda1_true)
-        system = assemble_system(g0, g1, params)
-        rhs = np.stack(
-            [plane_wave_data(g0, g1, k0, d).stacked(params.mu0, params.mu1)
-             for d in inc], axis=1)
-        psi = system.solve_stacked(rhs)
-        n0 = g0.size
-        s_mat, k_mat = system.farfield_maps(obs)
-        values[qi] = (params.lambda0 * (k_mat @ psi[:n0])
-                      + s_mat @ psi[n0:2 * n0]).T
+    values = np.stack([
+        solve_plane_wave(curve0, curve1, config.medium(k0, lambda1_true), inc,
+                         config.n_synth, obs)[0].T
+        for k0 in config.frequencies])
     ang = 2.0 * np.pi * np.arange(config.num_incident) / config.num_incident
     return Dataset(frequencies=np.asarray(config.frequencies),
                    incident_angles=ang,

@@ -25,8 +25,7 @@ import scipy.linalg as sla
 from scipy import special as ssp
 
 from .errors import ConfigurationError, SolverError
-from .geometry import (DiscretizedBoundary, ParametricCurve, discretize_pair,
-                       spectral_derivative)
+from .geometry import DiscretizedBoundary, ParametricCurve, discretize_pair
 from .operators import assemble_blocks, assemble_farfield
 
 LAMBDA_POLE_GUARD = 1e-6
@@ -41,8 +40,7 @@ class MediumParams:
     ``k1 = k0 sqrt(n1)``; ``k2`` is a free modeling parameter (equal to
     k1 by default).  ``tau1 = 1/lambda1`` is kept alongside lambda1; the
     tau form of the problem is solved through the identical lambda-form
-    system, so ``active_form`` only selects which unknown the inverse
-    iteration updates.
+    system.
     """
 
     k0: float
@@ -51,7 +49,6 @@ class MediumParams:
     lambda0: float
     lambda1: float
     tau1: float
-    active_form: str = "lambda"
 
     def __post_init__(self):
         if min(self.k0, self.k1, self.k2) <= 0.0:
@@ -62,12 +59,9 @@ class MediumParams:
             raise ConfigurationError("lambda0 too close to -1 (mu0 pole)")
         if abs(1.0 + self.lambda1) < LAMBDA_POLE_GUARD:
             raise ConfigurationError("lambda1 too close to -1 (mu1 pole)")
-        if self.active_form not in ("lambda", "tau"):
-            raise ConfigurationError(f"unknown form {self.active_form!r}")
 
     @classmethod
-    def create(cls, k0, n1, lambda0, lambda1=None, tau1=None, k2="k1",
-               active_form=None):
+    def create(cls, k0, n1, lambda0, lambda1=None, tau1=None, k2="k1"):
         """Build params from the configuration quantities.
 
         Exactly one of ``lambda1``/``tau1`` must be given; the other is
@@ -80,14 +74,10 @@ class MediumParams:
             if tau1 == 0.0:
                 raise ConfigurationError("tau1 must be nonzero")
             lambda1 = 1.0 / tau1
-            form = "tau"
         else:
             if lambda1 == 0.0:
                 raise ConfigurationError("lambda1 must be nonzero")
             tau1 = 1.0 / lambda1
-            form = "lambda"
-        if active_form is not None:
-            form = active_form
         k1 = k0 * np.sqrt(n1)
         if isinstance(k2, str):
             if k2 != "k1":
@@ -97,7 +87,7 @@ class MediumParams:
             k2_val = float(k2)
         return cls(k0=float(k0), k1=float(k1), k2=float(k2_val),
                    lambda0=float(lambda0), lambda1=float(lambda1),
-                   tau1=float(tau1), active_form=form)
+                   tau1=float(tau1))
 
     @property
     def mu0(self) -> float:
@@ -108,6 +98,9 @@ class MediumParams:
         return 2.0 / (1.0 + self.lambda1)
 
 
+# The three containers below hold one column of nodal values per field,
+# shape (size,), or several side by side, shape (size, P); every
+# operation on them acts column by column along axis 0.
 @dataclass
 class BoundaryData:
     """Transmission-jump data (f1, f2 on the interface; f3, f4 on the
@@ -171,22 +164,22 @@ class TransmissionSystem:
     def _assemble(self):
         p = self.params
         g0, g1 = self.grid0, self.grid1
-        b0_k0 = assemble_blocks(g0, g0, p.k0, target_id=0, source_id=0)
-        b0_k1 = assemble_blocks(g0, g0, p.k1, target_id=0, source_id=0)
-        b1_k1 = assemble_blocks(g1, g1, p.k1, target_id=1, source_id=1)
+        b0_k0 = assemble_blocks(g0, g0, p.k0)
+        b0_k1 = assemble_blocks(g0, g0, p.k1)
+        b1_k1 = assemble_blocks(g1, g1, p.k1)
         if p.k2 == p.k1:
             b1_k2 = b1_k1
         else:
-            b1_k2 = assemble_blocks(g1, g1, p.k2, target_id=1, source_id=1)
-        c01 = assemble_blocks(g0, g1, p.k1, target_id=0, source_id=1)
-        c10 = assemble_blocks(g1, g0, p.k1, target_id=1, source_id=0)
+            b1_k2 = assemble_blocks(g1, g1, p.k2)
+        c01 = assemble_blocks(g0, g1, p.k1)
+        c10 = assemble_blocks(g1, g0, p.k1)
         self.blocks = {
             "0k0": b0_k0, "0k1": b0_k1, "1k1": b1_k1, "1k2": b1_k2,
             "01": c01, "10": c10,
         }
 
         def m(group, kind):
-            return self.blocks[group][kind].matrix
+            return self.blocks[group][kind]
 
         mu0, mu1, la0, la1 = p.mu0, p.mu1, p.lambda0, p.lambda1
         row1 = [mu0 * (la0 * m("0k0", "K") - m("0k1", "K")),
@@ -231,11 +224,8 @@ class TransmissionSystem:
             raise SolverError(f"transmission system singular: {exc}") from exc
 
     def _raw_solve(self, rhs):
-        y = sla.lu_solve(self._lu, rhs / self._row_scale[:, None]
-                         if rhs.ndim == 2 else rhs / self._row_scale)
-        if rhs.ndim == 2:
-            return y / self._col_scale[:, None]
-        return y / self._col_scale
+        y = sla.lu_solve(self._lu, rhs / self._row_scale[:, None])
+        return y / self._col_scale[:, None]
 
     def solve_stacked(self, rhs):
         """Solve (I+A) x = rhs with iterative refinement; rhs may hold
@@ -246,14 +236,13 @@ class TransmissionSystem:
         x = self._raw_solve(b)
         scale = np.max(np.abs(b), axis=0)
         scale[scale == 0.0] = 1.0
-        for _ in range(3):
+        for refinements in range(4):  # at most three refinement steps
             res = b - self.matrix @ x
-            if np.all(np.max(np.abs(res), axis=0) <= RESIDUAL_RTOL * scale):
+            ok = np.all(np.max(np.abs(res), axis=0) <= RESIDUAL_RTOL * scale)
+            if ok or refinements == 3:
                 break
             x = x + self._raw_solve(res)
-        res = b - self.matrix @ x
-        bad = np.max(np.abs(res), axis=0) > RESIDUAL_RTOL * scale
-        if np.any(bad):
+        if not ok:
             cond = np.linalg.cond(self.matrix, 1)
             raise SolverError(
                 f"discrete residual {np.max(np.abs(res)):.3e} exceeds "
@@ -262,7 +251,8 @@ class TransmissionSystem:
         return x[:, 0] if single else x
 
     def solve(self, data: BoundaryData) -> DensityVector:
-        """Solve the block system for one set of boundary data."""
+        """Solve the block system for boundary data with one or several
+        columns."""
         rhs = data.stacked(self.params.mu0, self.params.mu1)
         x = self.solve_stacked(rhs)
         return DensityVector.from_stacked(x, self.grid0.size, self.grid1.size)
@@ -271,13 +261,14 @@ class TransmissionSystem:
     def farfield_maps(self, directions):
         key = np.asarray(directions, dtype=float).tobytes()
         if key not in self._ff_cache:
-            sinf = assemble_farfield(self.grid0, self.params.k0, directions, "S_inf")
-            kinf = assemble_farfield(self.grid0, self.params.k0, directions, "K_inf")
-            self._ff_cache[key] = (sinf.matrix, kinf.matrix)
+            self._ff_cache[key] = tuple(
+                assemble_farfield(self.grid0, self.params.k0, directions, kind)
+                for kind in ("S_inf", "K_inf"))
         return self._ff_cache[key]
 
     def far_field(self, densities: DensityVector, directions):
-        """u_inf on the observation directions (n_obs, 2)."""
+        """u_inf on the observation directions (n_obs, 2), one column per
+        density column."""
         s_mat, k_mat = self.farfield_maps(directions)
         return self.params.lambda0 * (k_mat @ densities.psi1) + s_mat @ densities.psi2
 
@@ -286,10 +277,9 @@ class TransmissionSystem:
         """Traces of the total field for a plane-wave (homogeneous f3, f4)
         solve, via interior representations and exact jump constants."""
         p = self.params
-        b = self.blocks
 
         def m(group, kind):
-            return b[group][kind].matrix
+            return self.blocks[group][kind]
 
         ps1, ps2, ps3, ps4 = (densities.psi1, densities.psi2,
                               densities.psi3, densities.psi4)
@@ -301,9 +291,9 @@ class TransmissionSystem:
         dn1 = m("1k2", "T") @ ps3 + m("1k2", "KT") @ ps4 + 0.5 * ps4
         return BoundaryTraces(
             u0=u0, dn_u0_minus=dn0, dn_u0_plus=p.lambda0 * dn0,
-            duds0=spectral_derivative(u0) / self.grid0.speed,
+            duds0=self.grid0.d_ds(u0),
             u1=u1, dn_u1_minus=dn1, dn_u1_plus=p.lambda1 * dn1,
-            duds1=spectral_derivative(u1) / self.grid1.speed,
+            duds1=self.grid1.d_ds(u1),
         )
 
 
@@ -313,40 +303,34 @@ def assemble_system(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
     return TransmissionSystem(grid0, grid1, params)
 
 
-def solve_transmission(system: TransmissionSystem, data: BoundaryData) -> DensityVector:
-    """Solve the factored system for the given boundary data."""
-    return system.solve(data)
-
-
 def plane_wave_data(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
                     k0: float, d) -> BoundaryData:
-    """Boundary data (-u^i, -du^i/dnu, 0, 0) of the incident plane wave."""
+    """Boundary data (-u^i, -du^i/dnu, 0, 0) of the incident plane wave
+    with direction ``d``, shape (2,), or one column per row of ``d``,
+    shape (P, 2)."""
     d = np.asarray(d, dtype=float)
-    ui = np.exp(1j * k0 * (grid0.x @ d))
-    dn_ui = 1j * k0 * (grid0.normal @ d) * ui
-    return BoundaryData(f1=-ui, f2=-dn_ui,
-                        f3=np.zeros(grid1.size, dtype=complex),
-                        f4=np.zeros(grid1.size, dtype=complex))
+    ui = np.exp(1j * k0 * (grid0.x @ d.T))
+    dn_ui = 1j * k0 * (grid0.normal @ d.T) * ui
+    zero = np.zeros((grid1.size,) + ui.shape[1:], dtype=complex)
+    return BoundaryData(f1=-ui, f2=-dn_ui, f3=zero, f4=zero.copy())
 
 
 def observation_directions(n_obs: int):
-    """Unit observation directions at angles 2 pi (i-1)/n_obs."""
+    """Unit directions at angles 2 pi (i-1)/n_obs (observation and
+    incident directions alike)."""
     ang = 2.0 * np.pi * np.arange(n_obs) / n_obs
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
-def incident_directions(p: int):
-    """Unit incident directions at angles 2 pi (i-1)/P."""
-    return observation_directions(p)
-
-
 def solve_plane_wave(curve0: ParametricCurve, curve1: ParametricCurve,
                      params: MediumParams, d, n: int, obs_directions):
-    """Full forward solve for one incident direction.
+    """The forward pipeline: discretize, assemble, solve, far field.
 
-    Returns (far-field samples, boundary traces, densities, system); the
-    system can be reused for further right-hand sides on the same
-    geometry.
+    ``d`` is one incident direction, shape (2,), or P of them, shape
+    (P, 2).  Returns (far field, boundary traces, densities, system) with
+    one column per incident direction, so the far field has shape
+    (n_obs,) or (n_obs, P); the factored system serves further
+    right-hand sides on the same geometry.
     """
     grid0, grid1 = discretize_pair(curve0, curve1, n)
     system = assemble_system(grid0, grid1, params)

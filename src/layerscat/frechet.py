@@ -14,8 +14,10 @@ the base solution's traces:
 Because the Dirichlet trace is continuous across each boundary, the
 tangential-gradient difference collapses to (1 - lambda) du/ds, and the
 constant term to dlambda1 du-/dnu; only normal components of the
-perturbation fields enter.  One factorization therefore serves every
-Jacobian column and incident direction.
+perturbation fields enter.  The directions are therefore held as
+columns, and the Jacobian builds the data of every (incident direction,
+perturbation direction) pair at once and makes one solve with the base
+problem's factorization for all of them.
 """
 
 from __future__ import annotations
@@ -26,162 +28,131 @@ import numpy as np
 
 from .errors import DomainError
 from .forward import BoundaryData, BoundaryTraces, MediumParams, TransmissionSystem
-from .geometry import DiscretizedBoundary, spectral_derivative
+from .geometry import DiscretizedBoundary
 
 
 @dataclass
-class PerturbationDirection:
-    """One canonical perturbation: a radial mode or center shift of one
-    boundary, or a transmission-constant increment.
+class DirectionColumns:
+    """Perturbation directions of the unknown vector, one column each.
 
-    ``h0_nu``/``h1_nu`` hold the normal component of the induced
-    boundary field at the nodes (None when that boundary is fixed).
+    ``h0``/``h1`` (2 n0 x c and 2 n1 x c) hold the normal component of
+    the induced field on the interface and on the buried boundary (zero
+    where a direction leaves that boundary fixed); ``dlambda1`` and
+    ``dtau1`` (c,) hold the transmission-constant increments.
     """
 
-    label: str
-    h0_nu: np.ndarray | None = None
-    h1_nu: np.ndarray | None = None
-    delta_lambda1: float = 0.0
-    delta_tau1: float = 0.0
+    labels: list
+    h0: np.ndarray
+    h1: np.ndarray
+    dlambda1: np.ndarray
+    dtau1: np.ndarray
 
 
-def radial_basis(index: int, modes: int, theta):
-    """Trig basis value b_index(theta) for the coefficient layout
-    (constant, cos 1..M, sin 1..M)."""
-    if index == 0:
-        return np.ones_like(theta)
-    if index <= modes:
-        return np.cos(index * theta)
-    return np.sin((index - modes) * theta)
-
-
-def radial_normal_component(grid: DiscretizedBoundary, center, index: int,
-                            modes: int):
-    """(h)_nu at the nodes for the radial perturbation b_index(theta) e_r.
+def radial_normal_component(grid: DiscretizedBoundary, center, modes: int):
+    """(h)_nu at the nodes for the radial perturbations b_j(theta) e_r,
+    one column per j in the coefficient layout (constant, cos 1..M,
+    sin 1..M).
 
     For a starlike curve about ``center``, e_r . nu = r/|dx/dtheta|, so
-    the normal component is b_index(theta) r(theta)/|dx/dtheta|.  The
-    polar angle theta is the curve parameter ``grid.t`` at the nodes, and
+    the normal component is b_j(theta) r(theta)/|dx/dtheta|.  The polar
+    angle theta is the curve parameter ``grid.t`` at the nodes, and
     |dx/dtheta| = |dx/ds| / theta'(s) on graded grids.
     """
     r = np.linalg.norm(grid.x - np.asarray(center)[None, :], axis=1)
-    return radial_basis(index, modes, grid.t) * r / grid.speed * grid.dt
+    lt = np.outer(grid.t, np.arange(1, modes + 1))
+    basis = np.hstack([np.ones((grid.size, 1)), np.cos(lt), np.sin(lt)])
+    return basis * r[:, None] / grid.speed[:, None] * grid.dt[:, None]
 
 
 def canonical_directions(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
                          center1, modes: int, form: str,
-                         include_center: bool = True):
+                         include_center: bool = True) -> DirectionColumns:
     """The ordered basis directions of the unknown vector.
 
     Order: interface radial coefficients (2M+1), buried radial
     coefficients (2M+1), buried center shifts (a1, a2; optional), then
     the lambda1 or tau1 slot.
     """
-    dirs = []
-    for j in range(2 * modes + 1):
-        dirs.append(PerturbationDirection(
-            label=f"r0[{j}]",
-            h0_nu=radial_normal_component(grid0, (0.0, 0.0), j, modes)))
-    for j in range(2 * modes + 1):
-        dirs.append(PerturbationDirection(
-            label=f"r1[{j}]",
-            h1_nu=radial_normal_component(grid1, center1, j, modes)))
+    nr = 2 * modes + 1
+    labels = ([f"r0[{j}]" for j in range(nr)] + [f"r1[{j}]" for j in range(nr)]
+              + (["a1", "a2"] if include_center else [])
+              + ["lambda1" if form == "lambda" else "tau1"])
+    c = len(labels)
+    h0 = np.zeros((grid0.size, c))
+    h0[:, :nr] = radial_normal_component(grid0, (0.0, 0.0), modes)
+    h1 = np.zeros((grid1.size, c))
+    h1[:, nr:2 * nr] = radial_normal_component(grid1, center1, modes)
     if include_center:
-        dirs.append(PerturbationDirection(label="a1", h1_nu=grid1.normal[:, 0]))
-        dirs.append(PerturbationDirection(label="a2", h1_nu=grid1.normal[:, 1]))
-    if form == "lambda":
-        dirs.append(PerturbationDirection(label="lambda1", delta_lambda1=1.0))
-    else:
-        dirs.append(PerturbationDirection(label="tau1", delta_tau1=1.0))
-    return dirs
-
-
-def surface_divergence(g, grid: DiscretizedBoundary):
-    """Surface divergence of the tangential field g t-hat: dg/ds."""
-    return spectral_derivative(g) / grid.speed
+        h1[:, 2 * nr:2 * nr + 2] = grid1.normal
+    dlambda1, dtau1 = np.zeros(c), np.zeros(c)
+    (dlambda1 if form == "lambda" else dtau1)[-1] = 1.0
+    return DirectionColumns(labels, h0, h1, dlambda1, dtau1)
 
 
 def derivative_boundary_data(traces: BoundaryTraces,
-                             direction: PerturbationDirection,
+                             directions: DirectionColumns,
                              params: MediumParams,
                              grid0: DiscretizedBoundary,
                              grid1: DiscretizedBoundary) -> BoundaryData:
-    """Boundary data of the derivative transmission problem for one
-    perturbation direction."""
+    """Boundary data of the derivative transmission problems.
+
+    One column per (incident, direction) pair, incident-major: column
+    i c + j pairs the traces' column i with direction j.
+    """
     p = params
-    if direction.delta_lambda1 != 0.0 and p.lambda1 == 0.0:
+    dirs = directions
+    if np.any(dirs.dlambda1 != 0.0) and p.lambda1 == 0.0:
         raise DomainError("lambda1 = 0: switch to the tau form")
-    if direction.delta_tau1 != 0.0 and p.tau1 == 0.0:
+    if np.any(dirs.dtau1 != 0.0) and p.tau1 == 0.0:
         raise DomainError("tau1 = 0: switch to the lambda form")
 
-    f1 = np.zeros(grid0.size, dtype=complex)
-    f2 = np.zeros(grid0.size, dtype=complex)
-    f3 = np.zeros(grid1.size, dtype=complex)
-    f4 = np.zeros(grid1.size, dtype=complex)
-    if direction.h0_nu is not None:
-        h = direction.h0_nu
-        f1 = -(p.lambda0 - 1.0) * h * traces.dn_u0_minus
-        f2 = ((p.k0**2 - p.lambda0 * p.k1**2) * h * traces.u0
-              + (1.0 - p.lambda0)
-              * surface_divergence(h * traces.duds0, grid0))
-    if direction.h1_nu is not None:
-        h = direction.h1_nu
-        f3 = -(p.lambda1 - 1.0) * h * traces.dn_u1_minus
-        f4 = ((p.k1**2 - p.lambda1 * p.k2**2) * h * traces.u1
-              + (1.0 - p.lambda1)
-              * surface_divergence(h * traces.duds1, grid1))
+    def pairs(h, trace):
+        # (size, c) with (size, P) -> (size, P c)
+        trace = trace.reshape(trace.shape[0], -1)
+        return (h[:, None, :] * trace[:, :, None]).reshape(h.shape[0], -1)
+
+    h0, h1 = dirs.h0, dirs.h1
+    f1 = pairs(-(p.lambda0 - 1.0) * h0, traces.dn_u0_minus)
+    f2 = (pairs((p.k0**2 - p.lambda0 * p.k1**2) * h0, traces.u0)
+          + (1.0 - p.lambda0) * grid0.d_ds(pairs(h0, traces.duds0)))
+    f3 = pairs(-(p.lambda1 - 1.0) * h1, traces.dn_u1_minus)
     # du+/dnu = lambda1 du-/dnu reduces (dlambda/lambda) du+/dnu to
     # dlambda du-/dnu; the tau slot is the chain-rule multiple.
-    if direction.delta_lambda1 != 0.0:
-        f4 = f4 + direction.delta_lambda1 * traces.dn_u1_minus
-    if direction.delta_tau1 != 0.0:
-        f4 = f4 - direction.delta_tau1 * p.lambda1**2 * traces.dn_u1_minus
+    constant = np.broadcast_to(dirs.dlambda1 - dirs.dtau1 * p.lambda1**2,
+                               h1.shape)
+    f4 = (pairs((p.k1**2 - p.lambda1 * p.k2**2) * h1, traces.u1)
+          + (1.0 - p.lambda1) * grid1.d_ds(pairs(h1, traces.duds1))
+          + pairs(constant, traces.dn_u1_minus))
     return BoundaryData(f1=f1, f2=f2, f3=f3, f4=f4)
 
 
 def derivative_far_field(system: TransmissionSystem, traces: BoundaryTraces,
-                         directions, obs_directions):
-    """Far fields of the derivative problems for every direction.
-
-    Returns a complex (n_obs, n_directions) matrix; all solves share the
-    system's factorization.
-    """
-    p = system.params
-    g0, g1 = system.grid0, system.grid1
-    ncols = len(directions)
-    rhs = np.zeros((2 * g0.size + 2 * g1.size, ncols), dtype=complex)
-    for j, direction in enumerate(directions):
-        data = derivative_boundary_data(traces, direction, p, g0, g1)
-        rhs[:, j] = data.stacked(p.mu0, p.mu1)
-    psi = system.solve_stacked(rhs)
-    n0 = g0.size
-    s_mat, k_mat = system.farfield_maps(obs_directions)
-    return p.lambda0 * (k_mat @ psi[:n0]) + s_mat @ psi[n0:2 * n0]
+                         directions: DirectionColumns, obs_directions):
+    """Far fields of the derivative problems, complex (n_obs, P c) with
+    the columns of ``derivative_boundary_data``; one solve with the
+    system's factorization covers them all."""
+    data = derivative_boundary_data(traces, directions, system.params,
+                                    system.grid0, system.grid1)
+    return system.far_field(system.solve(data), obs_directions)
 
 
-def stack_real(columns_by_incident):
-    """Stack complex far-field columns over incident directions into the
-    real LM layout: per incident, all Re rows then all Im rows."""
-    parts = []
-    for block in columns_by_incident:
-        parts.append(block.real)
-        parts.append(block.imag)
-    return np.concatenate(parts, axis=0)
+def real_rows(z):
+    """Complex (P, n_obs, ...) values in the real LM row layout: per
+    incident, all Re rows then all Im rows."""
+    return np.stack([z.real, z.imag], axis=1).reshape((-1,) + z.shape[2:])
 
 
-def jacobian(system: TransmissionSystem, traces_by_incident,
-             farfields_by_incident, data_by_incident, directions,
-             obs_directions):
+def jacobian(system: TransmissionSystem, traces: BoundaryTraces,
+             farfields, data, directions: DirectionColumns, obs_directions):
     """Real Jacobian and residual of the stacked far-field misfit.
 
-    ``traces_by_incident``: base-solution traces per incident direction;
-    ``farfields_by_incident``/``data_by_incident``: (P, n_obs) complex.
-    Rows are unweighted (the caller applies the discrete-norm scale).
-    Returns (J, residual) with J of shape (2 P n_obs, n_directions).
+    ``traces``: base-solution traces, one column per incident direction;
+    ``farfields``/``data``: complex (P, n_obs).  Rows are unweighted
+    (the caller applies the discrete-norm scale).  Returns (J, residual)
+    with J of shape (2 P n_obs, n_directions).
     """
-    cols = [derivative_far_field(system, tr, directions, obs_directions)
-            for tr in traces_by_incident]
-    jac = stack_real(cols)
-    res = stack_real([(ff - u)[:, None]
-                      for ff, u in zip(farfields_by_incident, data_by_incident)])
-    return jac, res[:, 0]
+    cols = derivative_far_field(system, traces, directions, obs_directions)
+    per_incident = cols.reshape(cols.shape[0], -1, len(directions.labels))
+    jac = real_rows(per_incident.transpose(1, 0, 2))
+    res = real_rows(np.asarray(farfields) - data)
+    return jac, res

@@ -208,11 +208,6 @@ class ParametricCurve:
         return self.evaluate(t)[0]
 
 
-def eval_curve(curve: ParametricCurve, t):
-    """Point x(t) on the curve (vectorized over t)."""
-    return curve.point(t)
-
-
 @dataclass(frozen=True, eq=False)
 class NodeMap:
     """Smooth, periodic, monotone change of parameter s -> t(s).
@@ -325,6 +320,10 @@ class DiscretizedBoundary:
     @property
     def size(self) -> int:
         return 2 * self.n
+
+    def d_ds(self, values):
+        """Arc-length derivative of nodal values, column by column."""
+        return (spectral_derivative(values).T / self.speed).T
 
 
 def discretize(curve: ParametricCurve, n: int,
@@ -481,18 +480,20 @@ def discretize_pair(outer: ParametricCurve, inner: ParametricCurve, n: int):
 
 
 def spectral_derivative(values):
-    """Derivative of the trigonometric interpolant at the 2n nodes.
+    """Derivative of the trigonometric interpolant at the 2n nodes,
+    along axis 0 (each column of a 2-D array separately).
 
     Exact for trigonometric polynomials of degree < n; the Nyquist mode
     contributes zero derivative at the nodes.
     """
     v = np.asarray(values)
-    m2 = v.shape[-1]
+    m2 = v.shape[0]
     if m2 % 2 != 0:
         raise ConfigurationError("spectral_derivative expects an even sample count")
     freq = np.fft.fftfreq(m2, d=1.0 / m2)  # integer wavenumbers
     freq[m2 // 2] = 0.0  # Nyquist derivative vanishes at the nodes
-    dv = np.fft.ifft(1j * freq * np.fft.fft(v, axis=-1), axis=-1)
+    freq = freq.reshape((m2,) + (1,) * (v.ndim - 1))
+    dv = np.fft.ifft(1j * freq * np.fft.fft(v, axis=0), axis=0)
     if np.isrealobj(v):
         return dv.real
     return dv

@@ -23,10 +23,10 @@ import scipy.linalg as sla
 
 from .errors import (ConfigurationError, DataFormatError, GeometryError,
                      SolverError, StageAbortError)
-from .forward import (LAMBDA_POLE_GUARD, DensityVector, MediumParams,
-                      assemble_system, observation_directions, plane_wave_data)
-from .frechet import canonical_directions, jacobian
-from .geometry import ParametricCurve, StarlikeShape, discretize_pair, validate_pair
+from .forward import (LAMBDA_POLE_GUARD, MediumParams, observation_directions,
+                      solve_plane_wave)
+from .frechet import canonical_directions, jacobian, real_rows
+from .geometry import ParametricCurve, StarlikeShape, validate_pair
 
 STEP_HALVINGS = 10
 BETA_MIN = 1e-12
@@ -244,11 +244,12 @@ def choose_beta(jac, residual, weights, rho: float):
             return hi, False
     for _ in range(200):
         mid = np.sqrt(lo * hi)
-        if lin_res(mid) < target:
+        res_mid = lin_res(mid)
+        if res_mid < target:
             lo = mid
         else:
             hi = mid
-        if abs(lin_res(mid) - target) <= DISCREPANCY_RTOL * target:
+        if abs(res_mid - target) <= DISCREPANCY_RTOL * target:
             return mid, False
     return np.sqrt(lo * hi), False
 
@@ -338,25 +339,6 @@ def apply_step(state: ShapeState, delta, form: str, include_center: bool,
 # ---------------------------------------------------------------------------
 # Newton iteration per frequency, multi-frequency driver
 # ---------------------------------------------------------------------------
-def _forward_all(state: ShapeState, k0: float, config: SolverConfig,
-                 incident_dirs, obs_dirs):
-    params = config.medium(k0, state.lambda1)
-    c0, c1 = state.curves()
-    g0, g1 = discretize_pair(c0, c1, config.n_solve)
-    system = assemble_system(g0, g1, params)
-    rhs = np.stack([plane_wave_data(g0, g1, k0, d).stacked(params.mu0, params.mu1)
-                    for d in incident_dirs], axis=1)
-    psi = system.solve_stacked(rhs)
-    n0 = g0.size
-    s_mat, k_mat = system.farfield_maps(obs_dirs)
-    ffs = (params.lambda0 * (k_mat @ psi[:n0]) + s_mat @ psi[n0:2 * n0]).T
-    traces = []
-    for i in range(len(incident_dirs)):
-        dens = DensityVector.from_stacked(psi[:, i], g0.size, g1.size)
-        traces.append(system.boundary_traces(dens))
-    return system, g0, g1, ffs, traces
-
-
 def newton_iteration(state: ShapeState, data, k0: float, config: SolverConfig):
     """Run the regularized Newton iteration at one frequency.
 
@@ -377,8 +359,10 @@ def newton_iteration(state: ShapeState, data, k0: float, config: SolverConfig):
 
     records = []
     for m in range(config.max_iterations + 1):
-        system, g0, g1, ffs, traces = _forward_all(
-            state, k0, config, incident_dirs, obs_dirs)
+        ff, traces, _, system = solve_plane_wave(
+            *state.curves(), config.medium(k0, state.lambda1), incident_dirs,
+            config.n_solve, obs_dirs)
+        ffs = ff.T
         err = relative_error(ffs, data)
         rec = IterationRecord(
             k0=k0, m=m, err=err, lambda1=state.lambda1, tau1=state.tau1,
@@ -400,8 +384,9 @@ def newton_iteration(state: ShapeState, data, k0: float, config: SolverConfig):
 
         form = "lambda" if abs(state.lambda1) <= config.lambda_switch else "tau"
         include_center = config.center_updates_at(m)
-        dirs = canonical_directions(g0, g1, state.gamma1.center,
-                                    config.modes, form, include_center)
+        dirs = canonical_directions(system.grid0, system.grid1,
+                                    state.gamma1.center, config.modes, form,
+                                    include_center)
         jac, residual = jacobian(system, traces, ffs, data, dirs, obs_dirs)
         jac = norm_scale * jac
         residual = norm_scale * residual
@@ -459,29 +444,27 @@ def finite_difference_check(state: ShapeState, config: SolverConfig,
 
     Returns {direction label: relative l2 column error}.
     """
-    from .frechet import stack_real
-
     incident = observation_directions(config.num_incident)
     obs = observation_directions(config.n_obs)
-    system, g0, g1, ffs, traces = _forward_all(state, k0, config,
-                                               incident, obs)
+
+    def forward(s: ShapeState):
+        return solve_plane_wave(*s.curves(), config.medium(k0, s.lambda1),
+                                incident, config.n_solve, obs)
+
+    ff, traces, _, system = forward(state)
+    ffs = ff.T
     form = "lambda" if abs(state.lambda1) <= config.lambda_switch else "tau"
-    dirs = canonical_directions(g0, g1, state.gamma1.center, config.modes,
-                                form, include_center=True)
+    dirs = canonical_directions(system.grid0, system.grid1,
+                                state.gamma1.center, config.modes, form,
+                                include_center=True)
     jac, _ = jacobian(system, traces, ffs, np.zeros_like(ffs), dirs, obs)
     errors = {}
-    for j, direction in enumerate(dirs):
-        ff_p = _forward_all(_perturbed_state(state, direction.label, step,
-                                             config.modes),
-                            k0, config, incident, obs)[3]
-        ff_m = _forward_all(_perturbed_state(state, direction.label, -step,
-                                             config.modes),
-                            k0, config, incident, obs)[3]
-        fd = (ff_p - ff_m) / (2.0 * step)
-        fd_real = stack_real([col[:, None] for col in fd])[:, 0]
+    for j, label in enumerate(dirs.labels):
+        ff_p, ff_m = (forward(_perturbed_state(state, label, h, config.modes))[0]
+                      for h in (step, -step))
+        fd_real = real_rows((ff_p - ff_m).T / (2.0 * step))
         denom = max(float(np.linalg.norm(fd_real)), 1e-300)
-        errors[direction.label] = float(
-            np.linalg.norm(jac[:, j] - fd_real) / denom)
+        errors[label] = float(np.linalg.norm(jac[:, j] - fd_real) / denom)
     return errors
 
 

@@ -29,7 +29,6 @@ factor a, so blocks are assembled as separate real and imaginary parts
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -62,32 +61,6 @@ def _interp_matrix(n: int, q: int):
     mat = (np.fft.ifft(pad, axis=0) * q).real
     mat.setflags(write=False)
     return mat
-
-
-@dataclass
-class OperatorBlock:
-    """One dense operator matrix mapping a source-grid density to
-    target-grid values."""
-
-    kind: str
-    k: float
-    matrix: np.ndarray
-    target_id: int = -1
-    source_id: int = -1
-
-
-@dataclass
-class FarFieldOperator:
-    """Far-field map of a layer density on the interface.
-
-    ``S_inf`` integrates exp(-i k0 xhat.y); ``K_inf`` integrates its
-    normal derivative -i k0 (xhat.nu(y)) exp(-i k0 xhat.y).  Both carry
-    the prefactor exp(i pi/4)/sqrt(8 pi k0).
-    """
-
-    kind: str
-    k0: float
-    matrix: np.ndarray
 
 
 class _PairData:
@@ -249,10 +222,11 @@ def _cross_curve_matrices(pd: _PairData, kinds):
 
 
 def assemble_blocks(target: DiscretizedBoundary, source: DiscretizedBoundary,
-                    k: float, kinds=BLOCK_KINDS, target_id=-1, source_id=-1):
+                    k: float, kinds=BLOCK_KINDS):
     """Assemble several S/K/KT/T blocks (see module docstring) for one
     (target, source, k) pair, sharing kernel evaluations.  Returns
-    {kind: OperatorBlock}."""
+    {kind: dense matrix mapping source-grid densities to target-grid
+    values}."""
     for kind in kinds:
         if kind not in BLOCK_KINDS:
             raise SolverError(f"unknown operator kind {kind!r}")
@@ -265,16 +239,18 @@ def assemble_blocks(target: DiscretizedBoundary, source: DiscretizedBoundary,
     for kind, (re, im) in parts.items():
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
             raise SolverError(f"non-finite entries in {kind} block at k={k}")
-        blocks[kind] = OperatorBlock(kind=kind, k=k, matrix=re + 1j * im,
-                                     target_id=target_id, source_id=source_id)
+        blocks[kind] = re + 1j * im
     return blocks
 
 
 def assemble_farfield(source: DiscretizedBoundary, k0: float, directions,
-                      kind: str) -> FarFieldOperator:
-    """Far-field operator rows for the given observation directions.
+                      kind: str):
+    """Far-field map of a layer density on the interface, one row per
+    observation direction (``directions``: (n_obs, 2) unit vectors).
 
-    ``directions``: (n_obs, 2) unit vectors.
+    ``S_inf`` integrates exp(-i k0 xhat.y); ``K_inf`` integrates its
+    normal derivative -i k0 (xhat.nu(y)) exp(-i k0 xhat.y).  Both carry
+    the prefactor exp(i pi/4)/sqrt(8 pi k0).
     """
     if kind not in FARFIELD_KINDS:
         raise SolverError(f"unknown far-field kind {kind!r}")
@@ -291,7 +267,7 @@ def assemble_farfield(source: DiscretizedBoundary, k0: float, directions,
         mat = pref * trap * (-1j * k0) * xn * phase * source.speed[None, :]
     if not np.all(np.isfinite(mat)):
         raise SolverError(f"non-finite entries in {kind} operator")
-    return FarFieldOperator(kind=kind, k0=k0, matrix=mat)
+    return mat
 
 
 def evaluate_potential(source: DiscretizedBoundary, k: float, points,

@@ -13,27 +13,11 @@ both exact on trigonometric polynomials of degree < n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Equispaced periodic grid with 2n nodes and trapezoid weight pi/n."""
-
-    n: int
-
-    @property
-    def nodes(self):
-        return np.pi * np.arange(2 * self.n) / self.n
-
-    @property
-    def weight(self) -> float:
-        return np.pi / self.n
 
 
 def log_weights(n: int, t: float):

@@ -6,7 +6,7 @@ import pytest
 
 from layerscat.errors import ConfigurationError
 from layerscat.forward import (BoundaryData, MediumParams, assemble_system,
-                               incident_directions, observation_directions,
+                               observation_directions,
                                oracle_concentric_circles, plane_wave_data,
                                solve_plane_wave)
 from layerscat.geometry import ParametricCurve, discretize
@@ -25,7 +25,6 @@ def test_medium_params_create():
     assert p.mu0 == pytest.approx(2.0 / 2.2)
     pt = MediumParams.create(k0=2.0, n1=0.64, lambda0=1.2, tau1=0.2)
     assert pt.lambda1 == pytest.approx(5.0)
-    assert pt.active_form == "tau"
     with pytest.raises(ConfigurationError):
         MediumParams.create(k0=2.0, n1=0.64, lambda0=1.2)
     with pytest.raises(ConfigurationError):
@@ -178,5 +177,27 @@ def test_dirichlet_and_neumann_limit_trends():
 
 
 def test_incident_directions_layout():
-    inc = incident_directions(4)
+    inc = observation_directions(4)
     assert np.allclose(inc, [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-15)
+
+
+def test_plane_wave_columns_match_single_directions():
+    obs = observation_directions(16)
+    dirs = observation_directions(3)
+    c0, c1 = (ParametricCurve.preset("rounded_triangle"),
+              ParametricCurve.preset("apple"))
+    ff, traces, dens, system = solve_plane_wave(c0, c1, _params(), dirs, 24,
+                                                obs)
+    assert ff.shape == (16, 3) and traces.duds1.shape == (48, 3)
+    data = plane_wave_data(system.grid0, system.grid1, 2.0, dirs)
+    for i, d in enumerate(dirs):
+        one = plane_wave_data(system.grid0, system.grid1, 2.0, d)
+        for got, ref in zip(vars(data).values(), vars(one).values()):
+            assert ref.shape == (48,)
+            assert np.max(np.abs(got[:, i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+        ff1, tr1, _, _ = solve_plane_wave(c0, c1, _params(), d, 24, obs)
+        assert ff1.shape == (16,)
+        assert np.max(np.abs(ff[:, i] - ff1)) <= 1e-13 * np.max(np.abs(ff1))
+        for got, ref in zip(vars(traces).values(), vars(tr1).values()):
+            assert np.max(np.abs(got[:, i] - ref)) <= 1e-12 * np.max(np.abs(ref))
+

@@ -5,22 +5,23 @@ import numpy as np
 import pytest
 
 from layerscat.errors import DomainError
-from layerscat.forward import MediumParams, observation_directions
-from layerscat.frechet import (PerturbationDirection, canonical_directions,
+from layerscat.forward import (MediumParams, TransmissionSystem,
+                               observation_directions, solve_plane_wave)
+from layerscat.frechet import (DirectionColumns, canonical_directions,
                                derivative_boundary_data, derivative_far_field,
-                               radial_normal_component, surface_divergence)
+                               jacobian, radial_normal_component)
 from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
                                 discretize_pair)
-from layerscat.inverse import ShapeState, SolverConfig, _forward_all, finite_difference_check
+from layerscat.inverse import ShapeState, SolverConfig, finite_difference_check
 
 
 def test_surface_divergence_on_circles():
     g1 = discretize(ParametricCurve.preset("circle", radius=1.0), 16)
     g2 = discretize(ParametricCurve.preset("circle", radius=2.0), 16)
-    assert np.max(np.abs(surface_divergence(np.ones(32), g1))) < 1e-14
-    got = surface_divergence(np.cos(g1.t), g1)
+    assert np.max(np.abs(g1.d_ds(np.ones(32)))) < 1e-14
+    got = g1.d_ds(np.cos(g1.t))
     assert np.max(np.abs(got + np.sin(g1.t))) < 1e-12
-    got2 = surface_divergence(np.cos(g2.t), g2)
+    got2 = g2.d_ds(np.cos(g2.t))
     assert np.max(np.abs(got2 + np.sin(g2.t) / 2.0)) < 1e-12
 
 
@@ -28,7 +29,7 @@ def test_radial_normal_component_on_circle():
     # on a circle centered at the shape center, e_r = nu exactly
     g = discretize(ParametricCurve.preset("circle", radius=1.7), 16)
     for idx, modes in ((0, 3), (2, 3), (5, 3)):
-        got = radial_normal_component(g, (0.0, 0.0), idx, modes)
+        got = radial_normal_component(g, (0.0, 0.0), modes)[:, idx]
         if idx == 0:
             expected = np.ones_like(g.t)
         elif idx <= modes:
@@ -41,8 +42,22 @@ def test_radial_normal_component_on_circle():
 def test_center_shift_normal_component():
     g = discretize(ParametricCurve.preset("apple"), 32)
     dirs = canonical_directions(g, g, (0.1, 0.2), 2, "lambda")
-    a1 = [d for d in dirs if d.label == "a1"][0]
-    assert np.array_equal(a1.h1_nu, g.normal[:, 0])
+    a1 = dirs.labels.index("a1")
+    assert np.array_equal(dirs.h1[:, a1], g.normal[:, 0])
+
+
+def _directions(g0, g1, *specs):
+    """DirectionColumns from (label, h0, h1, dlambda1, dtau1) columns;
+    None stands for a fixed boundary."""
+    def column(h, size):
+        return np.zeros(size) if h is None else h
+
+    labels, h0, h1, dlam, dtau = zip(*specs)
+    return DirectionColumns(
+        list(labels),
+        np.stack([column(h, g0.size) for h in h0], axis=1),
+        np.stack([column(h, g1.size) for h in h1], axis=1),
+        np.array(dlam, dtype=float), np.array(dtau, dtype=float))
 
 
 def _base_setup():
@@ -54,40 +69,45 @@ def _base_setup():
                           frequencies=(2.0,))
     incident = observation_directions(1)
     obs = observation_directions(16)
-    system, g0, g1, ffs, traces = _forward_all(state, 2.0, config, incident, obs)
-    return state, config, system, g0, g1, ffs, traces, obs
+    ff, traces, _, system = solve_plane_wave(
+        *state.curves(), config.medium(2.0, state.lambda1), incident,
+        config.n_solve, obs)
+    return state, config, system, system.grid0, system.grid1, ff.T, traces, obs
 
 
 def test_zero_direction_gives_zero_far_field():
     _, _, system, g0, g1, _, traces, obs = _base_setup()
-    null = PerturbationDirection(label="null")
-    cols = derivative_far_field(system, traces[0], [null], obs)
+    null = _directions(g0, g1, ("null", None, None, 0.0, 0.0))
+    cols = derivative_far_field(system, traces, null, obs)
     assert np.max(np.abs(cols)) == 0.0
 
 
 def test_pure_lambda_direction_populates_only_f4():
     state, _, system, g0, g1, _, traces, obs = _base_setup()
-    d = PerturbationDirection(label="lambda1", delta_lambda1=1.0)
-    data = derivative_boundary_data(traces[0], d, system.params, g0, g1)
+    d = _directions(g0, g1, ("lambda1", None, None, 1.0, 0.0))
+    data = derivative_boundary_data(traces, d, system.params, g0, g1)
     assert np.max(np.abs(data.f1)) == 0.0
     assert np.max(np.abs(data.f2)) == 0.0
     assert np.max(np.abs(data.f3)) == 0.0
     # (dlambda/lambda) du+/dnu = dlambda du-/dnu via the transmission
     # condition
-    assert np.allclose(data.f4, traces[0].dn_u1_minus, rtol=0, atol=1e-14)
+    assert np.allclose(data.f4, traces.dn_u1_minus, rtol=0, atol=1e-14)
 
 
 def test_derivative_data_linear_in_direction():
     state, _, system, g0, g1, _, traces, obs = _base_setup()
-    h = radial_normal_component(g0, (0.0, 0.0), 1, 3)
-    d1 = PerturbationDirection(label="x", h0_nu=h, delta_lambda1=0.5)
-    d2 = PerturbationDirection(label="2x", h0_nu=2.0 * h, delta_lambda1=1.0)
-    b1 = derivative_boundary_data(traces[0], d1, system.params, g0, g1)
-    b2 = derivative_boundary_data(traces[0], d2, system.params, g0, g1)
+    h = radial_normal_component(g0, (0.0, 0.0), 3)[:, 1]
+    d1 = ("x", h, None, 0.5, 0.0)
+    d2 = ("2x", 2.0 * h, None, 1.0, 0.0)
+    b1 = derivative_boundary_data(traces, _directions(g0, g1, d1),
+                                  system.params, g0, g1)
+    b2 = derivative_boundary_data(traces, _directions(g0, g1, d2),
+                                  system.params, g0, g1)
     for f1, f2 in ((b1.f1, b2.f1), (b1.f2, b2.f2), (b1.f4, b2.f4)):
         assert np.allclose(2.0 * f1, f2, rtol=1e-13, atol=1e-13)
     # column scaling through the solve
-    cols = derivative_far_field(system, traces[0], [d1, d2], obs)
+    cols = derivative_far_field(system, traces, _directions(g0, g1, d1, d2),
+                                obs)
     assert np.max(np.abs(2.0 * cols[:, 0] - cols[:, 1])) \
         < 1e-12 * np.max(np.abs(cols[:, 1]))
 
@@ -98,20 +118,20 @@ def test_division_guard():
                        tau1=0.0)
     with pytest.raises(DomainError):
         derivative_boundary_data(
-            traces[0], PerturbationDirection(label="lambda1",
-                                             delta_lambda1=1.0),
+            traces, _directions(g0, g1, ("lambda1", None, None, 1.0, 0.0)),
             bad, g0, g1)
     with pytest.raises(DomainError):
         derivative_boundary_data(
-            traces[0], PerturbationDirection(label="tau1", delta_tau1=1.0),
+            traces, _directions(g0, g1, ("tau1", None, None, 0.0, 1.0)),
             bad, g0, g1)
 
 
 def test_chain_rule_between_forms():
     state, config, system, g0, g1, ffs, traces, obs = _base_setup()
-    lam_dir = PerturbationDirection(label="lambda1", delta_lambda1=1.0)
-    tau_dir = PerturbationDirection(label="tau1", delta_tau1=1.0)
-    cols = derivative_far_field(system, traces[0], [lam_dir, tau_dir], obs)
+    lam_dir = ("lambda1", None, None, 1.0, 0.0)
+    tau_dir = ("tau1", None, None, 0.0, 1.0)
+    cols = derivative_far_field(
+        system, traces, _directions(g0, g1, lam_dir, tau_dir), obs)
     lam = system.params.lambda1
     err = np.max(np.abs(cols[:, 1] + lam**2 * cols[:, 0]))
     assert err < 1e-8 * np.max(np.abs(cols[:, 1]))
@@ -146,3 +166,39 @@ def test_jacobian_against_finite_differences_graded():
     lam_err = finite_difference_check(state, config_lam, k0=2.0,
                                       step=1e-4)["lambda1"]
     assert lam_err <= 1e-3
+
+
+def test_jacobian_is_one_solve_in_the_per_pair_layout(monkeypatch):
+    # three incident directions: one solve covers every (incident,
+    # direction) column, and each column equals the far field of its own
+    # derivative problem, placed per incident as Re rows then Im rows
+    state, config, *_ = _base_setup()
+    obs = observation_directions(16)
+    ff, traces, _, system = solve_plane_wave(
+        *state.curves(), config.medium(2.0, state.lambda1),
+        observation_directions(3), config.n_solve, obs)
+    g0, g1 = system.grid0, system.grid1
+    dirs = canonical_directions(g0, g1, state.gamma1.center, 3, "lambda")
+    c = len(dirs.labels)
+    shapes = []
+    solve_stacked = TransmissionSystem.solve_stacked
+    monkeypatch.setattr(
+        TransmissionSystem, "solve_stacked",
+        lambda self, rhs: shapes.append(rhs.shape) or solve_stacked(self, rhs))
+    jac, res = jacobian(system, traces, ff.T, np.zeros_like(ff.T), dirs, obs)
+    monkeypatch.undo()
+    assert shapes == [(system.matrix.shape[0], 3 * c)]
+    assert jac.shape == (2 * 3 * 16, c)
+    scale = np.max(np.abs(jac))
+    for i in range(3):
+        tr = type(traces)(**{k: v[:, i] for k, v in vars(traces).items()})
+        for j in range(c):
+            one = _directions(g0, g1, (dirs.labels[j], dirs.h0[:, j],
+                                       dirs.h1[:, j], dirs.dlambda1[j],
+                                       dirs.dtau1[j]))
+            col = derivative_far_field(system, tr, one, obs)[:, 0]
+            rows = jac[2 * 16 * i:2 * 16 * (i + 1), j]
+            assert np.max(np.abs(rows - np.concatenate([col.real, col.imag]))) \
+                <= 1e-12 * scale
+        assert np.array_equal(res[2 * 16 * i:2 * 16 * (i + 1)],
+                              np.concatenate([ff[:, i].real, ff[:, i].imag]))

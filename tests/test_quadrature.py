@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerscat.quadrature import (QuadratureGrid, hypersingular_weight_matrix,
+from layerscat.quadrature import (hypersingular_weight_matrix,
                                   hypersingular_weights, log_weight_matrix,
                                   log_weights, trapezoid)
-
-
-def test_grid():
-    g = QuadratureGrid(8)
-    assert len(g.nodes) == 16
-    assert np.allclose(np.diff(g.nodes), np.pi / 8)
-    assert g.weight == pytest.approx(np.pi / 8)
 
 
 def test_log_weights_n1():
