@@ -4,16 +4,21 @@ The scattered/total field is represented by combined single- and
 double-layer potentials on both boundaries with densities
 psi = (psi1, psi2, psi3, psi4); the jump relations turn the transmission
 conditions into a 4x4 block system (I + A) psi = R that is assembled
-densely, LU-factored once per geometry, and reused for every right-hand
-side (incident directions and derivative problems alike).
+densely and LU-factored once per geometry.  The factorization serves
+every incident direction, and, solved transposed, the far-field rows
+that the Jacobian needs.
 
 The far field of the exterior representation is
 
     u_inf = lambda0 (K_inf psi1) + (S_inf psi2),
 
 i.e. the double-layer density pairs with the far-field kernel containing
-the normal derivative.  A separation-of-variables solution on concentric
-circles provides an independent cross-check of the whole chain.
+the normal derivative.  Where only far fields are wanted, as for the
+derivative problems, W = G (I + A)^-1 with G = [lambda0 K_inf, S_inf,
+0, 0] maps any right-hand side to its far field, and W^T takes one
+solve with (I + A)^T and n_obs columns.  A separation-of-variables
+solution on concentric circles provides an independent cross-check of
+the whole chain.
 """
 
 from __future__ import annotations
@@ -227,27 +232,45 @@ class TransmissionSystem:
         y = sla.lu_solve(self._lu, rhs / self._row_scale[:, None])
         return y / self._col_scale[:, None]
 
+    def _raw_solve_transposed(self, rhs):
+        # (I+A) = D_r S D_c, so (I+A)^T y = g is S^T (D_r y) = g / D_c
+        y = sla.lu_solve(self._lu, rhs / self._col_scale[:, None], trans=1)
+        return y / self._row_scale[:, None]
+
+    def _refined(self, b, raw_solve, matvec, weight=None):
+        """Solve matvec(x) = b by ``raw_solve`` with at most three
+        refinement steps.  Every column must end with max|res| <=
+        RESIDUAL_RTOL max|b|, both divided elementwise by ``weight`` when
+        it is given."""
+        def size(v):
+            v = np.abs(v) if weight is None else np.abs(v) / weight[:, None]
+            return np.max(v, axis=0)
+
+        x = raw_solve(b)
+        scale = size(b)
+        scale[scale == 0.0] = 1.0
+        for refinements in range(4):  # at most three refinement steps
+            res = b - matvec(x)
+            res_size = size(res)
+            ok = np.all(res_size <= RESIDUAL_RTOL * scale)
+            if ok or refinements == 3:
+                break
+            x = x + raw_solve(res)
+        if not ok:
+            cond = np.linalg.cond(self.matrix, 1)
+            raise SolverError(
+                f"discrete residual {np.max(res_size):.3e} exceeds "
+                f"{RESIDUAL_RTOL:g} * ||R||; condition estimate {cond:.3e}"
+            )
+        return x
+
     def solve_stacked(self, rhs):
         """Solve (I+A) x = rhs with iterative refinement; rhs may hold
         several right-hand sides as columns."""
         rhs = np.asarray(rhs, dtype=complex)
         single = rhs.ndim == 1
         b = rhs[:, None] if single else rhs
-        x = self._raw_solve(b)
-        scale = np.max(np.abs(b), axis=0)
-        scale[scale == 0.0] = 1.0
-        for refinements in range(4):  # at most three refinement steps
-            res = b - self.matrix @ x
-            ok = np.all(np.max(np.abs(res), axis=0) <= RESIDUAL_RTOL * scale)
-            if ok or refinements == 3:
-                break
-            x = x + self._raw_solve(res)
-        if not ok:
-            cond = np.linalg.cond(self.matrix, 1)
-            raise SolverError(
-                f"discrete residual {np.max(np.abs(res)):.3e} exceeds "
-                f"{RESIDUAL_RTOL:g} * ||R||; condition estimate {cond:.3e}"
-            )
+        x = self._refined(b, self._raw_solve, lambda v: self.matrix @ v)
         return x[:, 0] if single else x
 
     def solve(self, data: BoundaryData) -> DensityVector:
@@ -271,6 +294,28 @@ class TransmissionSystem:
         density column."""
         s_mat, k_mat = self.farfield_maps(directions)
         return self.params.lambda0 * (k_mat @ densities.psi1) + s_mat @ densities.psi2
+
+    def far_field_rows(self, directions):
+        """The rows W = G (I+A)^-1, shape (n_obs, N), that map a stacked
+        right-hand side straight to the far field of its solution:
+        ``far_field(solve(data))`` = W ``data.stacked(mu0, mu1)``.
+
+        G = [lambda0 K_inf, S_inf, 0, 0] is the far-field map on the
+        densities, and W^T comes from one solve with the transposed
+        system on the existing factorization, n_obs columns in all.  Its
+        refinement check is taken in the equilibrated coordinates the LU
+        factors (residual and right-hand side divided by the column
+        scale), which is the check of ``solve_stacked`` when no
+        equilibration applies.
+        """
+        s_mat, k_mat = self.farfield_maps(directions)
+        g = np.zeros((self.matrix.shape[0], s_mat.shape[0]), dtype=complex)
+        n0 = self.grid0.size
+        g[:n0] = self.params.lambda0 * k_mat.T
+        g[n0:2 * n0] = s_mat.T
+        wt = self._refined(g, self._raw_solve_transposed,
+                           lambda v: self.matrix.T @ v, self._col_scale)
+        return wt.T
 
     # -- boundary traces ---------------------------------------------------
     def boundary_traces(self, densities: DensityVector) -> BoundaryTraces:

@@ -15,9 +15,12 @@ Because the Dirichlet trace is continuous across each boundary, the
 tangential-gradient difference collapses to (1 - lambda) du/ds, and the
 constant term to dlambda1 du-/dnu; only normal components of the
 perturbation fields enter.  The directions are therefore held as
-columns, and the Jacobian builds the data of every (incident direction,
-perturbation direction) pair at once and makes one solve with the base
-problem's factorization for all of them.
+columns, and the Jacobian builds the data B of every (incident
+direction, perturbation direction) pair at once.  Only the far fields of
+those problems are needed, never their densities, so the Jacobian is
+W B with the far-field rows W = G (I + A)^-1 of the base system: one
+transposed solve with n_obs columns on the base factorization, however
+many pairs there are.
 """
 
 from __future__ import annotations
@@ -129,11 +132,12 @@ def derivative_boundary_data(traces: BoundaryTraces,
 def derivative_far_field(system: TransmissionSystem, traces: BoundaryTraces,
                          directions: DirectionColumns, obs_directions):
     """Far fields of the derivative problems, complex (n_obs, P c) with
-    the columns of ``derivative_boundary_data``; one solve with the
-    system's factorization covers them all."""
+    the columns of ``derivative_boundary_data``: the system's far-field
+    rows applied to their stacked data."""
     data = derivative_boundary_data(traces, directions, system.params,
                                     system.grid0, system.grid1)
-    return system.far_field(system.solve(data), obs_directions)
+    p = system.params
+    return system.far_field_rows(obs_directions) @ data.stacked(p.mu0, p.mu1)
 
 
 def real_rows(z):

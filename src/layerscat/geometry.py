@@ -84,16 +84,14 @@ class StarlikeShape:
         """Return (r, r', r'') at the given angles."""
         theta = np.asarray(theta, dtype=float)
         m = self.modes
-        r = np.full_like(theta, self.coeffs[0])
-        rp = np.zeros_like(theta)
-        rpp = np.zeros_like(theta)
-        for l in range(1, m + 1):
-            c, s = np.cos(l * theta), np.sin(l * theta)
-            ac, as_ = self.coeffs[l], self.coeffs[l + m]
-            r += ac * c + as_ * s
-            rp += l * (-ac * s + as_ * c)
-            rpp += l * l * (-ac * c - as_ * s)
-        return r, rp, rpp
+        l = np.arange(1, m + 1)
+        lt = np.multiply.outer(theta.ravel(), l)
+        c, s = np.cos(lt), np.sin(lt)
+        ac, as_ = self.coeffs[1:m + 1], self.coeffs[m + 1:]
+        r = self.coeffs[0] + c @ ac + s @ as_
+        rp = s @ (-l * ac) + c @ (l * as_)
+        rpp = c @ (-l * l * ac) - s @ (l * l * as_)
+        return tuple(v.reshape(theta.shape) for v in (r, rp, rpp))
 
     def validate(self, floor=RADIUS_FLOOR, n_check=VALIDATION_GRID):
         """Raise GeometryError unless the center and r(theta) are finite
@@ -568,14 +566,18 @@ def _checked_polyline(curve: ParametricCurve, n_check: int):
 
 
 def _points_in_polygon(points, poly):
-    """Ray-casting (crossing-number) containment test, vectorized."""
-    x, y = points[:, 0, None], points[:, 1, None]  # (Np, 1)
-    x1, y1 = poly[None, :, 0], poly[None, :, 1]  # (1, Nv)
-    x2, y2 = np.roll(poly[:, 0], -1)[None, :], np.roll(poly[:, 1], -1)[None, :]
-    straddles = (y1 > y) != (y2 > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_at_y = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-    crossings = np.sum(straddles & (x_at_y > x), axis=1)
+    """Ray-casting (crossing-number) containment test, vectorized.
+
+    The crossing abscissa is computed only on the (point, edge) pairs
+    whose edge straddles the point's ordinate, the only pairs that can
+    count; there y1 != y2, so the division is safe.
+    """
+    x, y = points[:, 0], points[:, 1]
+    x1, y1 = poly[:, 0], poly[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    i, j = np.nonzero((y1[None, :] > y[:, None]) != (y2[None, :] > y[:, None]))
+    x_at_y = x1[j] + (y[i] - y1[j]) * (x2[j] - x1[j]) / (y2[j] - y1[j])
+    crossings = np.bincount(i[x_at_y > x[i]], minlength=points.shape[0])
     return crossings % 2 == 1
 
 

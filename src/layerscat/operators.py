@@ -258,7 +258,7 @@ def assemble_farfield(source: DiscretizedBoundary, k0: float, directions,
     if np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) > 1e-12:
         raise SolverError("observation directions must be unit vectors")
     pref = np.exp(0.25j * np.pi) / np.sqrt(8.0 * np.pi * k0)
-    phase = np.exp(-1j * k0 * dirs @ source.x.T)  # (n_obs, 2n)
+    phase = np.exp(-1j * k0 * (dirs @ source.x.T))  # (n_obs, 2n)
     trap = np.pi / source.n
     if kind == "S_inf":
         mat = pref * trap * phase * source.speed[None, :]
@@ -268,22 +268,3 @@ def assemble_farfield(source: DiscretizedBoundary, k0: float, directions,
     if not np.all(np.isfinite(mat)):
         raise SolverError(f"non-finite entries in {kind} operator")
     return mat
-
-
-def evaluate_potential(source: DiscretizedBoundary, k: float, points,
-                       density, layer: str):
-    """Single- or double-layer potential at off-boundary points
-    (plain trapezoid; accurate only away from the source curve)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = pts[:, None, :] - source.x[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
-    j0, j1, y0, y1 = bessel_j0j1y0y1(k * r)
-    trap = np.pi / source.n
-    if layer == "single":
-        kern = 0.25j * (j0 + 1j * y0)
-    elif layer == "double":
-        q = np.sum(diff * source.normal[None, :, :], axis=-1)
-        kern = 0.25j * k * (j1 + 1j * y1) * q / r
-    else:
-        raise SolverError(f"unknown layer {layer!r}")
-    return (kern * source.speed[None, :]) @ np.asarray(density) * trap

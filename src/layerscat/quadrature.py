@@ -1,8 +1,9 @@
 """Spectral quadrature rules on the periodic grid t_j = pi j / n.
 
-Three rules, all with explicit trigonometric weights:
+Smooth periodic integrands take the plain trapezoid weight pi/n, which
+the operators apply inline.  The two singular rules here have explicit
+trigonometric weights:
 
-* plain trapezoid, weight pi/n, for smooth periodic integrands;
 * the logarithmic-singularity rule with weights R_j(t) for integrands
   ln(4 sin^2((t-tau)/2)) f(tau);
 * the hypersingular (finite-part) rule with weights T_j(t) for
@@ -58,15 +59,6 @@ def hypersingular_weights(n: int, t: float):
         m = np.arange(1, n)
         w = w - (1.0 / n) * np.sum(m[:, None] * np.cos(np.outer(m, diff)), axis=0)
     return w
-
-
-def trapezoid(values):
-    """(pi/n) sum of the 2n samples (spectrally accurate on analytic f)."""
-    v = np.asarray(values)
-    m2 = v.shape[-1]
-    if m2 % 2 != 0:
-        raise ConfigurationError("trapezoid expects 2n samples")
-    return (np.pi / (m2 // 2)) * np.sum(v, axis=-1)
 
 
 def _node_matrix(base_row):

@@ -1,31 +1,23 @@
-"""Cylindrical Bessel and Hankel functions for the 2D Helmholtz kernel.
+"""Cylindrical Bessel functions for the 2D Helmholtz kernel.
 
 J0, J1, Y0, Y1 on positive real arguments come from ``scipy.special``
 (Cephes: rational approximations for small arguments, Hankel asymptotic
 expansions with rational corrections for large ones), vectorized over
 numpy arrays.  Against mpmath on [1e-6, 199] their error stays below
-2e-14 of max(|f|, 0.05).  This module adds the domain check, the 0-d
-scalar convention and the Hankel combinations the operators use.  The
-independent high-precision oracle lives in the test suite.
+2e-14 of max(|f|, 0.05).  This module adds the domain check and the
+0-d scalar convention; the operators combine the values into Hankel
+kernels themselves.  The independent high-precision oracle lives in the
+test suite.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 from scipy import special as ssp
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015329
-
-
-class HankelPair(NamedTuple):
-    """H0^(1) and H1^(1) values (J + iY by construction)."""
-
-    h0: object
-    h1: object
 
 
 def bessel_j0j1y0y1(x):
@@ -53,43 +45,3 @@ def bessel_j0j1y0y1(x):
     if arr.shape == ():
         return tuple(float(v) for v in values)
     return values
-
-
-def hankel1_01(x) -> HankelPair:
-    """First-kind Hankel functions H0^(1), H1^(1) at positive real x.
-
-    Returns a HankelPair of complex arrays (complex scalars for 0-d
-    input).
-    """
-    j0, j1, y0, y1 = bessel_j0j1y0y1(x)
-    return HankelPair(j0 + 1j * y0, j1 + 1j * y1)
-
-
-def fundamental_solution(k, x, y):
-    """Helmholtz fundamental solution (i/4) H0^(1)(k |x - y|).
-
-    Parameters
-    ----------
-    k : float
-        Wavenumber, > 0.
-    x, y : array_like
-        Points in the plane; trailing axis of length 2.  Shapes must
-        broadcast against each other.
-
-    Raises
-    ------
-    DomainError
-        If k <= 0.
-    SingularityError
-        If any pairwise distance is below 1e-14.
-    """
-    if not k > 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    diff = xa - ya
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    if np.any(dist < 1e-14):
-        raise SingularityError("fundamental solution evaluated at coincident points")
-    h0, _ = hankel1_01(k * dist)
-    return 0.25j * h0

@@ -1,15 +1,25 @@
-"""Independent reference computations used across the test suite.
+"""Reference computations and test-only helpers used across the suite.
 
-Everything here deliberately avoids the package's own numerics:
-extended-precision ascending series (mpmath) for the cylinder functions,
-scipy.special for circle-operator eigenvalues, brute-force quadrature
-where a reference integral is needed, and all-pairs polyline distance
-and crossing tests for the geometry safeguard.
+The references avoid the numerics they check: extended-precision
+ascending series (mpmath) for the cylinder functions, scipy.special for
+circle-operator eigenvalues, brute-force quadrature where a reference
+integral is needed, all-pairs polyline distance, crossing and
+containment tests for the geometry safeguard, a loop over Fourier modes
+for starlike radii, and the direct Jacobian path (one solve per
+derivative problem) for the far-field-rows Jacobian.  The Hankel,
+fundamental-solution, potential and trapezoid helpers are built on the
+package's Bessel functions and grids; only the tests use them.
 """
 
 import mpmath as mp
 import numpy as np
 from scipy import special as ssp
+
+from layerscat.errors import (ConfigurationError, DomainError,
+                              SingularityError, SolverError)
+from layerscat.forward import DensityVector
+from layerscat.frechet import derivative_boundary_data
+from layerscat.specfun import bessel_j0j1y0y1
 
 mp.mp.dps = 50
 
@@ -87,6 +97,37 @@ def min_point_polyline_distance(points, poly):
     return float(np.min(d))
 
 
+def points_in_polygon(points, poly):
+    """Ray-casting containment with the crossing abscissa of every
+    (point, edge) pair, as (Np, Nv) arrays; only straddling pairs
+    count."""
+    x, y = points[:, 0, None], points[:, 1, None]  # (Np, 1)
+    x1, y1 = poly[None, :, 0], poly[None, :, 1]  # (1, Nv)
+    x2, y2 = np.roll(poly[:, 0], -1)[None, :], np.roll(poly[:, 1], -1)[None, :]
+    straddles = (y1 > y) != (y2 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_at_y = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+    crossings = np.sum(straddles & (x_at_y > x), axis=1)
+    return crossings % 2 == 1
+
+
+def starlike_radius_derivatives(coeffs, theta):
+    """(r, r', r'') of a starlike shape's radius, one Fourier mode at a
+    time, in the coefficient layout of ``StarlikeShape``."""
+    theta = np.asarray(theta, dtype=float)
+    m = (len(coeffs) - 1) // 2
+    r = np.full_like(theta, coeffs[0])
+    rp = np.zeros_like(theta)
+    rpp = np.zeros_like(theta)
+    for l in range(1, m + 1):
+        c, s = np.cos(l * theta), np.sin(l * theta)
+        ac, as_ = coeffs[l], coeffs[l + m]
+        r += ac * c + as_ * s
+        rp += l * (-ac * s + as_ * c)
+        rpp += l * l * (-ac * c - as_ * s)
+    return r, rp, rpp
+
+
 def polylines_cross(p, q):
     """Any proper crossing between a segment of the closed polyline
     through ``p`` and one through ``q``, testing all segment pairs."""
@@ -101,3 +142,80 @@ def polylines_cross(p, q):
     d3 = cross(d - c, a - c)
     d4 = cross(d - c, b - c)
     return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))
+
+
+def direct_derivative_far_field(system, traces, directions, obs_directions,
+                                check=True):
+    """Far fields of the derivative problems the direct way: solve every
+    (incident, direction) column with ``solve_stacked`` and apply the
+    far-field map to the densities.  Same columns as
+    ``frechet.derivative_far_field``.
+
+    ``check=False`` takes the same factorization and three refinement
+    steps without the residual check, which near-zero columns of a
+    strongly equilibrated system (|lambda1| ~ 1e6) can fail at roundoff
+    level.
+    """
+    data = derivative_boundary_data(traces, directions, system.params,
+                                    system.grid0, system.grid1)
+    if check:
+        return system.far_field(system.solve(data), obs_directions)
+    b = data.stacked(system.params.mu0, system.params.mu1)
+    x = system._raw_solve(b)
+    for _ in range(3):
+        x = x + system._raw_solve(b - system.matrix @ x)
+    dens = DensityVector.from_stacked(x, system.grid0.size, system.grid1.size)
+    return system.far_field(dens, obs_directions)
+
+
+def hankel1_01(x):
+    """First-kind Hankel functions (H0^(1), H1^(1)) at positive real x,
+    as J + iY from the package's J0, J1, Y0, Y1 (complex scalars for 0-d
+    input)."""
+    j0, j1, y0, y1 = bessel_j0j1y0y1(x)
+    return j0 + 1j * y0, j1 + 1j * y1
+
+
+def fundamental_solution(k, x, y):
+    """Helmholtz fundamental solution (i/4) H0^(1)(k |x - y|).
+
+    ``x``, ``y`` are points with a trailing axis of length 2 that
+    broadcast against each other.  Raises DomainError if k <= 0 and
+    SingularityError if any distance is below 1e-14.
+    """
+    if not k > 0.0:
+        raise DomainError(f"wavenumber must be positive, got {k}")
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    if np.any(dist < 1e-14):
+        raise SingularityError("fundamental solution evaluated at coincident points")
+    h0, _ = hankel1_01(k * dist)
+    return 0.25j * h0
+
+
+def evaluate_potential(source, k, points, density, layer):
+    """Single- or double-layer potential of ``density`` on the
+    discretized ``source`` at off-boundary points (plain trapezoid;
+    accurate only away from the source curve)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    diff = pts[:, None, :] - source.x[None, :, :]
+    r = np.sqrt(np.sum(diff * diff, axis=-1))
+    j0, j1, y0, y1 = bessel_j0j1y0y1(k * r)
+    trap = np.pi / source.n
+    if layer == "single":
+        kern = 0.25j * (j0 + 1j * y0)
+    elif layer == "double":
+        q = np.sum(diff * source.normal[None, :, :], axis=-1)
+        kern = 0.25j * k * (j1 + 1j * y1) * q / r
+    else:
+        raise SolverError(f"unknown layer {layer!r}")
+    return (kern * source.speed[None, :]) @ np.asarray(density) * trap
+
+
+def trapezoid(values):
+    """(pi/n) sum of the 2n samples (spectrally accurate on analytic f)."""
+    v = np.asarray(values)
+    m2 = v.shape[-1]
+    if m2 % 2 != 0:
+        raise ConfigurationError("trapezoid expects 2n samples")
+    return (np.pi / (m2 // 2)) * np.sum(v, axis=-1)

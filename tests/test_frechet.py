@@ -1,18 +1,22 @@
 """Derivative boundary data and the far-field Jacobian against the
-finite-difference oracle."""
+finite-difference oracle and against one direct solve per derivative
+problem."""
 
 import numpy as np
 import pytest
 
-from layerscat.errors import DomainError
+from layerscat import forward
+from layerscat.errors import DomainError, SolverError
 from layerscat.forward import (MediumParams, TransmissionSystem,
                                observation_directions, solve_plane_wave)
 from layerscat.frechet import (DirectionColumns, canonical_directions,
                                derivative_boundary_data, derivative_far_field,
-                               jacobian, radial_normal_component)
+                               jacobian, radial_normal_component, real_rows)
 from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
                                 discretize_pair)
 from layerscat.inverse import ShapeState, SolverConfig, finite_difference_check
+
+from _oracles import direct_derivative_far_field
 
 
 def test_surface_divergence_on_circles():
@@ -169,9 +173,10 @@ def test_jacobian_against_finite_differences_graded():
 
 
 def test_jacobian_is_one_solve_in_the_per_pair_layout(monkeypatch):
-    # three incident directions: one solve covers every (incident,
-    # direction) column, and each column equals the far field of its own
-    # derivative problem, placed per incident as Re rows then Im rows
+    # three incident directions: no solve per (incident, direction)
+    # column, but one transposed solve with n_obs columns; each column
+    # equals the far field of its own derivative problem, solved directly
+    # and placed per incident as Re rows then Im rows
     state, config, *_ = _base_setup()
     obs = observation_directions(16)
     ff, traces, _, system = solve_plane_wave(
@@ -180,14 +185,21 @@ def test_jacobian_is_one_solve_in_the_per_pair_layout(monkeypatch):
     g0, g1 = system.grid0, system.grid1
     dirs = canonical_directions(g0, g1, state.gamma1.center, 3, "lambda")
     c = len(dirs.labels)
-    shapes = []
+    shapes, transposed = [], []
     solve_stacked = TransmissionSystem.solve_stacked
+    raw_transposed = TransmissionSystem._raw_solve_transposed
     monkeypatch.setattr(
         TransmissionSystem, "solve_stacked",
         lambda self, rhs: shapes.append(rhs.shape) or solve_stacked(self, rhs))
+    monkeypatch.setattr(
+        TransmissionSystem, "_raw_solve_transposed",
+        lambda self, rhs: transposed.append(rhs.shape)
+        or raw_transposed(self, rhs))
     jac, res = jacobian(system, traces, ff.T, np.zeros_like(ff.T), dirs, obs)
     monkeypatch.undo()
-    assert shapes == [(system.matrix.shape[0], 3 * c)]
+    assert shapes == []
+    size = system.matrix.shape[0]
+    assert transposed and set(transposed) == {(size, 16)}
     assert jac.shape == (2 * 3 * 16, c)
     scale = np.max(np.abs(jac))
     for i in range(3):
@@ -196,9 +208,41 @@ def test_jacobian_is_one_solve_in_the_per_pair_layout(monkeypatch):
             one = _directions(g0, g1, (dirs.labels[j], dirs.h0[:, j],
                                        dirs.h1[:, j], dirs.dlambda1[j],
                                        dirs.dtau1[j]))
-            col = derivative_far_field(system, tr, one, obs)[:, 0]
+            col = direct_derivative_far_field(system, tr, one, obs)[:, 0]
             rows = jac[2 * 16 * i:2 * 16 * (i + 1), j]
             assert np.max(np.abs(rows - np.concatenate([col.real, col.imag]))) \
                 <= 1e-12 * scale
         assert np.array_equal(res[2 * 16 * i:2 * 16 * (i + 1)],
                               np.concatenate([ff[:, i].real, ff[:, i].imag]))
+
+
+@pytest.mark.parametrize("form", ["lambda", "tau"])
+@pytest.mark.parametrize("lambda1", [1e-6, 1.0, 1e4, 1e6])
+def test_jacobian_matches_direct_solves(lambda1, form):
+    # the graded kite/rounded-square pair, two incident directions, from
+    # the sound-hard to the sound-soft stand-in; at 1e4 and 1e6 the
+    # system is equilibrated, and at 1e6 near-zero columns of the direct
+    # solves can miss their own residual check at roundoff level
+    obs = observation_directions(32)
+    params = MediumParams.create(k0=1.0, n1=0.64, lambda0=1.2,
+                                 lambda1=lambda1)
+    ff, traces, _, system = solve_plane_wave(
+        ParametricCurve.preset("rounded_square"), ParametricCurve.preset("kite"),
+        params, observation_directions(2), 64, obs)
+    assert system.grid1.node_map is not None
+    assert np.any(system._col_scale != 1.0) == (lambda1 > 1e3)
+    dirs = canonical_directions(system.grid0, system.grid1, (0.0, 0.0), 5,
+                                form)
+    c = len(dirs.labels)
+    jac, _ = jacobian(system, traces, ff.T, ff.T, dirs, obs)
+    direct = direct_derivative_far_field(system, traces, dirs, obs,
+                                         check=lambda1 < 1e6)
+    expected = real_rows(direct.reshape(32, 2, c).transpose(1, 0, 2))
+    assert np.max(np.abs(jac - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_far_field_rows_raise_when_refinement_fails(monkeypatch):
+    _, _, system, *_, obs = _base_setup()
+    monkeypatch.setattr(forward, "RESIDUAL_RTOL", 0.0)
+    with pytest.raises(SolverError, match="condition estimate"):
+        system.far_field_rows(obs)

@@ -15,7 +15,8 @@ from layerscat.geometry import (CONTAINMENT_MARGIN, VALIDATION_GRID,
                                 spectral_derivative, validate_pair)
 from layerscat.geometry import _points_in_polygon, _polyline_separation
 
-from _oracles import min_point_polyline_distance, polylines_cross
+from _oracles import (min_point_polyline_distance, points_in_polygon,
+                      polylines_cross, starlike_radius_derivatives)
 
 PRESETS = ("apple", "kite", "rounded_square", "rounded_triangle")
 
@@ -102,6 +103,38 @@ def test_starlike_radius_and_derivatives():
     h = 1e-4
     rpp_fd = (s.radius(theta + h) - 2 * r + s.radius(theta - h)) / h**2
     assert np.max(np.abs(rpp - rpp_fd)) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (512,), (3, 4), (0,)])
+def test_starlike_radius_matches_mode_loop(shape):
+    rng = np.random.default_rng(7)
+    coeffs = np.concatenate([[2.0], 0.2 * rng.standard_normal(50)])
+    theta = rng.uniform(-np.pi, 3 * np.pi, shape)
+    got = StarlikeShape((0.1, 0.2), coeffs).radius_derivatives(theta)
+    ref = starlike_radius_derivatives(coeffs, theta)
+    for g, r in zip(got, ref):
+        assert isinstance(g, np.ndarray) and g.shape == r.shape == shape
+        if r.size:
+            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+    circle = StarlikeShape.circle(1.5).radius_derivatives(theta)
+    assert all(np.array_equal(v, np.full(shape, c))
+               for v, c in zip(circle, (1.5, 0.0, 0.0)))
+
+
+def test_points_in_polygon_matches_all_pairs():
+    # vertices and points level with a vertex exercise the half-open
+    # straddle rule; the decisions must be bit-identical
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    for _ in range(20):
+        coeffs = np.concatenate([[2.0], 0.3 * rng.standard_normal(50)
+                                 / np.repeat(np.arange(1, 26), 2) ** 0.5])
+        poly = ParametricCurve.starlike(StarlikeShape((0.0, 0.0), coeffs)).point(t)
+        pts = rng.uniform(-3.0, 3.0, (512, 2))
+        pts[:10] = poly[:10]
+        pts[10:20, 1] = poly[20:30, 1]
+        assert np.array_equal(_points_in_polygon(pts, poly),
+                              points_in_polygon(pts, poly))
 
 
 def test_starlike_positivity_enforced():
@@ -268,7 +301,7 @@ def _all_pairs_check(outer, inner, n_check):
             return "radius dips", None, None
     t = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
     po, pi = outer.point(t), inner.point(t)
-    if not np.all(_points_in_polygon(pi, po)):
+    if not np.all(points_in_polygon(pi, po)):
         return "not strictly inside", None, None
     dmin = min(min_point_polyline_distance(pi, po),
                min_point_polyline_distance(po, pi))

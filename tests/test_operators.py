@@ -7,10 +7,10 @@ from scipy import special as ssp
 
 from layerscat.geometry import ParametricCurve, discretize, discretize_pair
 from layerscat.errors import SolverError
-from layerscat.operators import (assemble_blocks, assemble_farfield,
-                                 evaluate_potential)
+from layerscat.operators import assemble_blocks, assemble_farfield
 
-from _oracles import circle_double_layer_offset, circle_eigenvalues
+from _oracles import (circle_double_layer_offset, circle_eigenvalues,
+                      evaluate_potential)
 
 
 @pytest.mark.parametrize("radius,k,n", [(1.0, 2.0, 32), (2.4, 2.0, 32),

@@ -1,4 +1,5 @@
-"""The three quadrature rules and their exactness identities."""
+"""The quadrature rules (and the trapezoid helper of the test oracles)
+and their exactness identities."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from layerscat.quadrature import (hypersingular_weight_matrix,
                                   hypersingular_weights, log_weight_matrix,
-                                  log_weights, trapezoid)
+                                  log_weights)
+
+from _oracles import trapezoid
 
 
 def test_log_weights_n1():

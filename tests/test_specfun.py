@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from layerscat.errors import DomainError, SingularityError
-from layerscat.specfun import bessel_j0j1y0y1, fundamental_solution, hankel1_01
+from layerscat.specfun import bessel_j0j1y0y1
 
-from _oracles import series_j0j1y0y1
+from _oracles import fundamental_solution, hankel1_01, series_j0j1y0y1
 
 # relative accuracy target, measured against the oscillation amplitude
 # near the functions' zeros
