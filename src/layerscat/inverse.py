@@ -12,6 +12,13 @@ pole guard) with up to ten halvings.  The unknown for the transmission
 constant is lambda1 while |lambda1| <= lambda_switch and tau1 = 1/lambda1
 beyond, with both kept in sync after every step.  Frequencies are swept
 lowest to highest, each stage starting from the previous stage's result.
+
+Each stage picks its Nystrom resolution from the ladder RUNGS, capped
+by ``n_solve``: the smallest rung whose far field agrees with the next
+rung's to RESOLUTION_RTOL times the stage's target max(tau_stop delta,
+err).  The check runs at stage start and again whenever err has fallen
+tenfold since the last one, and the resolution never goes down within
+a stage.  A solver failure inside a stage aborts that stage only.
 """
 
 from __future__ import annotations
@@ -32,6 +39,11 @@ STEP_HALVINGS = 10
 BETA_MIN = 1e-12
 ERR_FLOOR = 1e-8
 DISCREPANCY_RTOL = 1e-2
+# Nystrom resolutions (nodes per half period) a stage may use; see
+# resolution_ladder for how n_solve and modes cut the ladder
+RUNGS = (32, 40, 48, 64, 80, 96, 128, 160, 192, 256)
+RESOLUTION_RTOL = 1e-2
+RECHECK_DROP = 0.1
 
 
 @dataclass
@@ -139,6 +151,10 @@ class IterationRecord:
     linearized_ratio: float | None = None
     min_separation: float | None = None  # of the geometry after the step
     stopped: str | None = None
+    n_solve: int | None = None  # the rung of this iteration's forward solve
+    # the two-grid far-field estimate that chose the rung (None on a
+    # one-rung ladder); at the cap, the last one that failed
+    resolution_estimate: float | None = None
 
 
 @dataclass
@@ -339,13 +355,40 @@ def apply_step(state: ShapeState, delta, form: str, include_center: bool,
 # ---------------------------------------------------------------------------
 # Newton iteration per frequency, multi-frequency driver
 # ---------------------------------------------------------------------------
+def resolution_ladder(n_cap: int, modes: int):
+    """The resolutions a stage may use: the rungs of RUNGS strictly
+    between ``modes`` and the cap ``n_cap``, then the cap itself."""
+    return tuple(n for n in RUNGS if modes < n < n_cap) + (n_cap,)
+
+
+def _settle_resolution(solve, data, ladder, rung, solved, err, target):
+    """Climb ``ladder`` from ``rung`` to the first rung whose far field
+    agrees with the next rung's: max|ff_n - ff_next| / max|ff_next| <=
+    RESOLUTION_RTOL max(target, err_next), err_next the misfit at the
+    next rung.  ``solved`` and ``err`` are the solve at ``rung`` and its
+    misfit; ``solve(n)`` returns the forward solve at n nodes, far field
+    first.  Returns (rung, solved, err, estimate), the estimate at the
+    cap being the last one that failed."""
+    estimate = None
+    while rung < len(ladder) - 1:
+        finer = solve(ladder[rung + 1])
+        err_finer = relative_error(finer[0].T, data)
+        estimate = float(np.max(np.abs(solved[0] - finer[0]))
+                         / np.max(np.abs(finer[0])))
+        if estimate <= RESOLUTION_RTOL * max(target, err_finer):
+            break
+        rung, solved, err = rung + 1, finer, err_finer
+    return rung, solved, err, estimate
+
+
 def newton_iteration(state: ShapeState, data, k0: float, config: SolverConfig):
     """Run the regularized Newton iteration at one frequency.
 
     ``data``: complex (P, n_obs) measured far fields for the incident
     directions 2 pi (i-1)/P.  Returns (final state, iteration records);
     raises StageAbortError with partial progress attached when the step
-    safeguard is exhausted.
+    safeguard is exhausted or a solve fails (SolverError).  The attached
+    state is the iterate of the last record.
     """
     data = np.atleast_2d(np.asarray(data, dtype=complex))
     p_inc = data.shape[0]
@@ -356,58 +399,80 @@ def newton_iteration(state: ShapeState, data, k0: float, config: SolverConfig):
     incident_dirs = observation_directions(p_inc)
     obs_dirs = observation_directions(data.shape[1])
     norm_scale = np.sqrt(2.0 * np.pi / data.shape[1])
+    ladder = resolution_ladder(config.n_solve, config.modes)
+    rung, estimate, err_checked = 0, None, None
+
+    def solve(n):
+        return solve_plane_wave(
+            *state.curves(), config.medium(k0, state.lambda1), incident_dirs,
+            n, obs_dirs)
 
     records = []
-    for m in range(config.max_iterations + 1):
-        ff, traces, _, system = solve_plane_wave(
-            *state.curves(), config.medium(k0, state.lambda1), incident_dirs,
-            config.n_solve, obs_dirs)
-        ffs = ff.T
-        err = relative_error(ffs, data)
-        rec = IterationRecord(
-            k0=k0, m=m, err=err, lambda1=state.lambda1, tau1=state.tau1,
-            form=state.active_form,
-            r0_coeffs=list(state.gamma0.coeffs),
-            r1_coeffs=list(state.gamma1.coeffs),
-            center1=list(state.gamma1.center),
-        )
-        records.append(rec)
-        if config.delta > 0.0 and err < config.tau_stop * config.delta:
-            rec.stopped = "discrepancy"
-            break
-        if err < ERR_FLOOR:
-            rec.stopped = "err_floor"
-            break
-        if m == config.max_iterations:
-            rec.stopped = "max_iterations"
-            break
+    recorded = state
+    try:
+        for m in range(config.max_iterations + 1):
+            solved = solve(ladder[rung])
+            err = relative_error(solved[0].T, data)
+            if rung < len(ladder) - 1 and (
+                    err_checked is None or err < RECHECK_DROP * err_checked):
+                rung, solved, err, estimate = _settle_resolution(
+                    solve, data, ladder, rung, solved, err,
+                    config.tau_stop * config.delta)
+                err_checked = err
+            ff, traces, _, system = solved
+            ffs = ff.T
+            rec = IterationRecord(
+                k0=k0, m=m, err=err, lambda1=state.lambda1, tau1=state.tau1,
+                form=state.active_form,
+                r0_coeffs=list(state.gamma0.coeffs),
+                r1_coeffs=list(state.gamma1.coeffs),
+                center1=list(state.gamma1.center),
+                n_solve=ladder[rung], resolution_estimate=estimate,
+            )
+            records.append(rec)
+            recorded = state
+            if config.delta > 0.0 and err < config.tau_stop * config.delta:
+                rec.stopped = "discrepancy"
+                break
+            if err < ERR_FLOOR:
+                rec.stopped = "err_floor"
+                break
+            if m == config.max_iterations:
+                rec.stopped = "max_iterations"
+                break
 
-        form = "lambda" if abs(state.lambda1) <= config.lambda_switch else "tau"
-        include_center = config.center_updates_at(m)
-        dirs = canonical_directions(system.grid0, system.grid1,
-                                    state.gamma1.center, config.modes, form,
-                                    include_center)
-        jac, residual = jacobian(system, traces, ffs, data, dirs, obs_dirs)
-        jac = norm_scale * jac
-        residual = norm_scale * residual
-        weights = penalty_weights(config.modes, config.s, include_center)
-        beta, infeasible = choose_beta(jac, residual, weights, config.rho)
-        delta_c = lm_step(jac, residual, beta, weights)
-        rnorm = float(np.linalg.norm(residual))
-        lin_ratio = float(np.linalg.norm(jac @ delta_c + residual)) / rnorm
-        try:
+            form = ("lambda" if abs(state.lambda1) <= config.lambda_switch
+                    else "tau")
+            include_center = config.center_updates_at(m)
+            dirs = canonical_directions(system.grid0, system.grid1,
+                                        state.gamma1.center, config.modes,
+                                        form, include_center)
+            jac, residual = jacobian(system, traces, ffs, data, dirs,
+                                     obs_dirs)
+            jac = norm_scale * jac
+            residual = norm_scale * residual
+            weights = penalty_weights(config.modes, config.s, include_center)
+            beta, infeasible = choose_beta(jac, residual, weights, config.rho)
+            delta_c = lm_step(jac, residual, beta, weights)
+            rnorm = float(np.linalg.norm(residual))
+            lin_ratio = float(np.linalg.norm(jac @ delta_c + residual)) / rnorm
             state, halvings, separation = apply_step(
                 state, delta_c, form, include_center, config.modes)
-        except StageAbortError as exc:
-            exc.records = records  # type: ignore[attr-defined]
-            exc.state = state  # type: ignore[attr-defined]
-            raise
-        rec.beta = beta
-        rec.halvings = halvings
-        rec.discrepancy_infeasible = infeasible
-        rec.linearized_ratio = lin_ratio
-        rec.min_separation = separation
-        state = state.with_form(form)
+            rec.beta = beta
+            rec.halvings = halvings
+            rec.discrepancy_infeasible = infeasible
+            rec.linearized_ratio = lin_ratio
+            rec.min_separation = separation
+            state = state.with_form(form)
+    except StageAbortError as exc:
+        exc.records = records  # type: ignore[attr-defined]
+        exc.state = recorded  # type: ignore[attr-defined]
+        raise
+    except SolverError as exc:
+        abort = StageAbortError(f"k0={k0:g}, iteration {len(records)}: {exc}")
+        abort.records = records  # type: ignore[attr-defined]
+        abort.state = recorded  # type: ignore[attr-defined]
+        raise abort from exc
     return state, records
 
 
@@ -470,8 +535,9 @@ def finite_difference_check(state: ShapeState, config: SolverConfig,
 
 def multi_frequency_drive(initial: ShapeState, dataset, config: SolverConfig):
     """Algorithm: sweep the strictly increasing frequencies, feeding each
-    stage's final state to the next; aborted stages keep the last good
-    state and the remaining frequencies are still attempted.
+    stage's final state to the next; a stage aborted by the step
+    safeguard or a solver failure keeps its partial records and the last
+    recorded state, and the remaining frequencies are still attempted.
 
     ``dataset`` provides .frequencies and .values (Q, P, n_obs).
     Returns (final state, ReconstructionTrace).

@@ -16,10 +16,11 @@ obtained from the Maue identity, where H is the cotangent operator and
 S_reg is the parametric single-layer kernel with its constant
 logarithmic part removed.  Cross-curve kernels are smooth and use the
 trapezoid rule on a 4x-oversampled source grid (the density is carried
-there by exact trigonometric interpolation): the two curves may pass
-within a fraction of a wavelength of each other, and plain same-grid
-trapezoid stalls near 1e-4 in that regime.  All entries absorb the
-arc-length factor |x'(tau)| pi/n.
+there by exact trigonometric interpolation, so the fine-grid weights
+fold back onto the source grid by an FFT truncation): the two curves
+may pass within a fraction of a wavelength of each other, and plain
+same-grid trapezoid stalls near 1e-4 in that regime.  All entries absorb
+the arc-length factor |x'(tau)| pi/n.
 
 Every kernel is i H a with a Hankel function H = J + iY and a real
 factor a, so blocks are assembled as separate real and imaginary parts
@@ -44,21 +45,14 @@ CROSS_OVERSAMPLE = 4
 
 
 @lru_cache(maxsize=16)
-def _interp_matrix(n: int, q: int):
-    """Trigonometric interpolation matrix from 2n nodes to 2nq nodes.
-
-    Exact on the nodal trig-interpolation space (Nyquist mode split
-    evenly between +-n as a cosine).
-    """
-    m_coarse = 2 * n
-    m_fine = m_coarse * q
-    f = np.fft.fft(np.eye(m_coarse), axis=0)
-    pad = np.zeros((m_fine, m_coarse), dtype=complex)
-    pad[:n] = f[:n]
-    pad[n] = 0.5 * f[n]
-    pad[m_fine - n] = 0.5 * f[n]
-    pad[m_fine - n + 1:] = f[n + 1:]
-    mat = (np.fft.ifft(pad, axis=0) * q).real
+def _log_4sin2(n: int):
+    """ln(4 sin^2((s_i - s_j)/2)) on the 2n-node grid s_j = pi j / n, with
+    a zero diagonal.  Read-only, cached per n."""
+    n2 = 2 * n
+    s = np.pi * np.arange(n2) / n
+    sdiff = s[:, None] - s[None, :]
+    mat = np.log(4.0 * np.sin(0.5 * sdiff) ** 2 + np.eye(n2))
+    np.fill_diagonal(mat, 0.0)
     mat.setflags(write=False)
     return mat
 
@@ -75,13 +69,11 @@ class _PairData:
         self.same = target is source
         if self.same:
             self.fine = source
-            self.interp = None
         else:
             # the fine grid must carry the source grid's node map, or the
             # interpolated density would sit at the wrong curve points
             self.fine = discretize(source.curve, source.n * CROSS_OVERSAMPLE,
                                    source.node_map)
-            self.interp = _interp_matrix(source.n, CROSS_OVERSAMPLE)
         fine = self.fine
         dx = target.x[:, 0, None] - fine.x[None, :, 0]  # (2m, 2nq)
         dy = target.x[:, 1, None] - fine.x[None, :, 1]
@@ -100,11 +92,7 @@ class _PairData:
             # the diagonal
             np.fill_diagonal(self.j0, 1.0)
             np.fill_diagonal(self.j1, 0.0)
-            n2 = target.size
-            sdiff = target.s[:, None] - target.s[None, :]
-            log_4sin2 = np.log(4.0 * np.sin(0.5 * sdiff) ** 2 + np.eye(n2))
-            np.fill_diagonal(log_4sin2, 0.0)
-            self.log_4sin2 = log_4sin2
+            self.log_4sin2 = _log_4sin2(target.n)
 
 
 def _single_layer_diag(grid: DiscretizedBoundary, k: float):
@@ -215,10 +203,18 @@ def _cross_curve_matrices(pd: _PairData, kinds):
             re += y * a
             im += j * a
         np.negative(re, out=re)
-        # one real matmul maps both parts to the source grid
-        coarse = parts.reshape(-1, parts.shape[-1]) @ pd.interp
-        out[kind] = coarse.reshape(2, gt.size, -1)
+        out[kind] = _decimate(parts, pd.source.n)
     return out
+
+
+def _decimate(fine_rows, n: int):
+    """Map rows of fine-grid quadrature weights to the 2n-node source
+    grid: the transpose of trigonometric interpolation from 2n nodes,
+    i.e. keep the row's Fourier modes up to n (the Nyquist mode split
+    evenly between +-n, as interpolation does) and transform back on 2n
+    nodes.  Acts along the last axis."""
+    spec = np.fft.rfft(fine_rows, axis=-1)[..., :n + 1]
+    return np.fft.irfft(spec, 2 * n, axis=-1)
 
 
 def assemble_blocks(target: DiscretizedBoundary, source: DiscretizedBoundary,

@@ -5,8 +5,10 @@ ascending series (mpmath) for the cylinder functions, scipy.special for
 circle-operator eigenvalues, brute-force quadrature where a reference
 integral is needed, all-pairs polyline distance, crossing and
 containment tests for the geometry safeguard, a loop over Fourier modes
-for starlike radii, and the direct Jacobian path (one solve per
-derivative problem) for the far-field-rows Jacobian.  The Hankel,
+for starlike radii, the direct Jacobian path (one solve per
+derivative problem) for the far-field-rows Jacobian, the Dirichlet
+kernel for the cross-block decimation, and a Newton loop at one fixed
+resolution for the resolution ladder.  The Hankel,
 fundamental-solution, potential and trapezoid helpers are built on the
 package's Bessel functions and grids; only the tests use them.
 """
@@ -219,3 +221,71 @@ def trapezoid(values):
     if m2 % 2 != 0:
         raise ConfigurationError("trapezoid expects 2n samples")
     return (np.pi / (m2 // 2)) * np.sum(v, axis=-1)
+
+
+def trig_interpolation_matrix(n, q):
+    """Values at the 2nq fine nodes of the trigonometric interpolant of
+    values at the 2n nodes pi j / n, from the Dirichlet kernel summed
+    mode by mode (the Nyquist mode as a cosine split evenly between
+    +-n).  Shape (2nq, 2n)."""
+    t = np.pi * np.arange(2 * n * q) / (n * q)
+    s = np.pi * np.arange(2 * n) / n
+    d = t[:, None] - s[None, :]
+    mat = 1.0 + np.cos(n * d)
+    for m in range(1, n):
+        mat += 2.0 * np.cos(m * d)
+    return mat / (2 * n)
+
+
+def fixed_resolution_newton(state, data, k0, config):
+    """The Newton iteration of ``inverse.newton_iteration`` with every
+    forward solve at ``config.n_solve``, written out step by step from
+    the package's public pieces.  Returns the iteration records."""
+    from layerscat.forward import observation_directions, solve_plane_wave
+    from layerscat.frechet import canonical_directions, jacobian
+    from layerscat.inverse import (ERR_FLOOR, IterationRecord, apply_step,
+                                   choose_beta, lm_step, penalty_weights,
+                                   relative_error)
+
+    data = np.atleast_2d(np.asarray(data, dtype=complex))
+    incident = observation_directions(data.shape[0])
+    obs = observation_directions(data.shape[1])
+    scale = np.sqrt(2.0 * np.pi / data.shape[1])
+    records = []
+    for m in range(config.max_iterations + 1):
+        ff, traces, _, system = solve_plane_wave(
+            *state.curves(), config.medium(k0, state.lambda1), incident,
+            config.n_solve, obs)
+        err = relative_error(ff.T, data)
+        rec = IterationRecord(
+            k0=k0, m=m, err=err, lambda1=state.lambda1, tau1=state.tau1,
+            form=state.active_form, r0_coeffs=list(state.gamma0.coeffs),
+            r1_coeffs=list(state.gamma1.coeffs),
+            center1=list(state.gamma1.center), n_solve=config.n_solve)
+        records.append(rec)
+        if config.delta > 0.0 and err < config.tau_stop * config.delta:
+            rec.stopped = "discrepancy"
+            break
+        if err < ERR_FLOOR:
+            rec.stopped = "err_floor"
+            break
+        if m == config.max_iterations:
+            rec.stopped = "max_iterations"
+            break
+        form = "lambda" if abs(state.lambda1) <= config.lambda_switch else "tau"
+        center = config.center_updates_at(m)
+        dirs = canonical_directions(system.grid0, system.grid1,
+                                    state.gamma1.center, config.modes, form,
+                                    center)
+        jac, residual = jacobian(system, traces, ff.T, data, dirs, obs)
+        jac, residual = scale * jac, scale * residual
+        weights = penalty_weights(config.modes, config.s, center)
+        rec.beta, rec.discrepancy_infeasible = choose_beta(
+            jac, residual, weights, config.rho)
+        step = lm_step(jac, residual, rec.beta, weights)
+        rec.linearized_ratio = float(np.linalg.norm(jac @ step + residual)
+                                     / np.linalg.norm(residual))
+        state, rec.halvings, rec.min_separation = apply_step(
+            state, step, form, center, config.modes)
+        state = state.with_form(form)
+    return records

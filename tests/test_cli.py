@@ -62,6 +62,9 @@ def test_invert_and_export_plot(tmp_path, small_config_path, capsys):
     assert stepped and all(0.05 <= r["min_separation"] < 2.0 for r in stepped)
     assert all(r["min_separation"] is None
                for r in doc["iterations"] if r["beta"] is None)
+    # n_solve = 16 is a one-rung ladder: no two-grid estimate is made
+    assert all(r["n_solve"] == 16 and r["resolution_estimate"] is None
+               for r in doc["iterations"])
     assert (out / "final_outer.csv").exists()
     assert main(["export-plot", "--trace", str(out / "trace.json"),
                  "--out", str(out / "plots")]) == 0
@@ -70,7 +73,8 @@ def test_invert_and_export_plot(tmp_path, small_config_path, capsys):
 
 
 def test_export_plot_reads_trace_without_separation(tmp_path):
-    # a trace written before iteration records carried min_separation
+    # a trace written before iteration records carried min_separation,
+    # n_solve and resolution_estimate
     record = {"k0": 2.0, "m": 0, "err": 0.5, "lambda1": 10.0, "tau1": 0.1,
               "form": "lambda", "r0_coeffs": [2.4, 0.1, 0.0],
               "r1_coeffs": [0.5, 0.0, 0.05], "center1": [0.1, 0.0],

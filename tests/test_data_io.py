@@ -167,7 +167,8 @@ def test_trace_roundtrip(tmp_path):
     trace.iterations.append(IterationRecord(
         k0=2.0, m=0, err=0.5, lambda1=10.0, tau1=0.1, form="tau",
         r0_coeffs=[2.4, 0.0], r1_coeffs=[0.5, 0.0], center1=[0.0, 0.0],
-        beta=0.125, halvings=1, min_separation=1.25))
+        beta=0.125, halvings=1, min_separation=1.25, n_solve=48,
+        resolution_estimate=3.5e-5))
     trace.stage_final.append((2.0, 0.5, 10.0, False))
     trace.classification = "sound_soft"
     path = tmp_path / "trace.json"
@@ -176,6 +177,8 @@ def test_trace_roundtrip(tmp_path):
     assert doc["classification"] == "sound_soft"
     assert doc["iterations"][0]["beta"] == 0.125
     assert doc["iterations"][0]["min_separation"] == 1.25
+    assert doc["iterations"][0]["n_solve"] == 48
+    assert doc["iterations"][0]["resolution_estimate"] == 3.5e-5
     assert doc["iterations"][0]["r0_coeffs"] == [2.4, 0.0]
     (tmp_path / "empty.json").write_text("{}")
     with pytest.raises(DataFormatError):

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layerscat.data_io import synthesize
 from layerscat.errors import (ConfigurationError, DataFormatError,
                               GeometryError, StageAbortError)
 from layerscat.forward import observation_directions, solve_plane_wave
-from layerscat.geometry import StarlikeShape
+from layerscat.geometry import ParametricCurve, StarlikeShape
 from layerscat.inverse import (ShapeState, SolverConfig, apply_step,
                                choose_beta, classify_boundary, discrete_l2_sq,
                                hs_norm_sq, lm_step, multi_frequency_drive,
                                newton_iteration, penalty_weights,
-                               relative_error)
+                               relative_error, resolution_ladder)
+
+from _oracles import fixed_resolution_newton
 
 
 def test_hs_norm_examples():
@@ -326,3 +329,106 @@ def test_choose_beta_residual_matches_rho(rho):
     if not infeasible:
         achieved = np.linalg.norm(jac @ lm_step(jac, r, beta, w) + r)
         assert abs(achieved - rho * np.linalg.norm(r)) <= 1.5e-2 * rho * np.linalg.norm(r)
+
+
+def test_resolution_ladder_rungs():
+    assert resolution_ladder(64, 25) == (32, 40, 48, 64)
+    assert resolution_ladder(100, 3) == (32, 40, 48, 64, 80, 96, 100)
+    assert resolution_ladder(64, 40) == (48, 64)  # every mode resolved
+    assert resolution_ladder(32, 25) == (32,)
+    assert resolution_ladder(16, 2) == (16,)
+
+
+def _counting_solves(monkeypatch):
+    import layerscat.inverse as inv
+
+    sizes = []
+    real_solve = inv.solve_plane_wave
+
+    def counting(curve0, curve1, params, d, n, obs):
+        sizes.append(n)
+        return real_solve(curve0, curve1, params, d, n, obs)
+
+    monkeypatch.setattr(inv, "solve_plane_wave", counting)
+    return sizes
+
+
+def test_one_rung_ladder_matches_fixed_resolution_oracle(monkeypatch):
+    # n_solve = 32 leaves one rung: the iteration is the fixed-resolution
+    # one bit for bit, with one forward solve per iteration
+    config = SolverConfig(modes=3, num_incident=2, n_obs=16, n_solve=32,
+                          frequencies=(2.0,), max_iterations=4)
+    state = ShapeState.initial(r0=2.0, r1=0.8, lambda1=2.0, modes=3)
+    truth = ShapeState.initial(r0=2.2, r1=0.7, lambda1=3.0, modes=3,
+                               center1=(0.1, 0.0))
+    data = _far_fields(truth, config, observation_directions(2),
+                       observation_directions(16))
+    expected = fixed_resolution_newton(state, data, 2.0, config)
+    sizes = _counting_solves(monkeypatch)
+    _, records = newton_iteration(state, data, 2.0, config)
+    assert len(records) == len(expected) == 5
+    assert [vars(r) for r in records] == [vars(r) for r in expected]
+    assert all(r.n_solve == 32 and r.resolution_estimate is None
+               for r in records)
+    assert sizes == [32] * len(records)
+
+
+def _fitted_starlike(curve, modes):
+    """Starlike coefficients of a preset curve centered at the origin."""
+    theta = 2.0 * np.pi * np.arange(4 * modes) / (4 * modes)
+    radius = np.hypot(*curve.point(theta).T)
+    c = np.fft.rfft(radius) / (4 * modes)
+    return np.concatenate([[c[0].real], 2.0 * c[1:modes + 1].real,
+                           -2.0 * c[1:modes + 1].imag])
+
+
+def test_apple_at_k0_8_resolves_with_48_or_more(monkeypatch):
+    # near the truth, with exact data, n = 32 is too coarse at k0 = 8:
+    # its far field is off by about 1e-3 relative, against a misfit of 1e-3
+    config = SolverConfig(frequencies=(8.0,), num_incident=1, modes=25,
+                          max_iterations=1)
+    truth = (ParametricCurve.preset("rounded_triangle"),
+             ParametricCurve.preset("apple"))
+    data = synthesize(*truth, 1e6, config).values[0]
+    r0 = _fitted_starlike(truth[0], config.modes)
+    r0[0] += 3e-4
+    state = ShapeState(gamma0=StarlikeShape((0.0, 0.0), r0),
+                       gamma1=StarlikeShape((0.0, 0.0),
+                                            _fitted_starlike(truth[1], 25)),
+                       lambda1=1e6, tau1=1e-6)
+    sizes = _counting_solves(monkeypatch)
+    _, records = newton_iteration(state, data, 8.0, config)
+    assert records[0].err < 2e-3
+    assert records[0].n_solve >= 48
+    assert sizes[:3] == [32, 40, 48]
+    ff32, ff64 = (solve_plane_wave(*state.curves(), config.medium(8.0, 1e6),
+                                   observation_directions(1), n,
+                                   observation_directions(64))[0]
+                  for n in (32, 64))
+    assert np.max(np.abs(ff32 - ff64)) > 1e-4 * np.max(np.abs(ff64))
+    # a noise-level target lets the same iterate run coarser
+    noisy = SolverConfig(frequencies=(8.0,), num_incident=1, modes=25,
+                         max_iterations=1, delta=0.03)
+    _, coarse = newton_iteration(state, data, 8.0, noisy)
+    assert coarse[0].n_solve < records[0].n_solve
+
+
+def test_resolution_never_drops_within_a_stage(monkeypatch):
+    # the hard-kite setup of gate 6, cut short: the iteration starts at
+    # n = 32 and the check climbs once err has fallen a hundredfold
+    config = SolverConfig(frequencies=(1.0,), num_incident=3,
+                          max_iterations=22, center_update_iterations=5)
+    data = synthesize(ParametricCurve.preset("rounded_square"),
+                      ParametricCurve.preset("kite"), 1e-6, config).values[0]
+    state = ShapeState.initial(r0=2.8, r1=1.0, lambda1=1.0,
+                               modes=config.modes, center1=(0.5, 0.0))
+    sizes = _counting_solves(monkeypatch)
+    _, records = newton_iteration(state, data, 1.0, config)
+    rungs = [r.n_solve for r in records]
+    ladder = resolution_ladder(config.n_solve, config.modes)
+    assert all(n in ladder for n in rungs)
+    assert rungs == sorted(rungs) and rungs[0] == 32 and rungs[-1] > 32
+    assert all(r.resolution_estimate is not None for r in records)
+    # one solve per iteration, plus one per rung compared at a check
+    assert len(sizes) > len(records)
+    assert sizes[0] == 32 and sizes[1] == 40

@@ -7,10 +7,11 @@ from scipy import special as ssp
 
 from layerscat.geometry import ParametricCurve, discretize, discretize_pair
 from layerscat.errors import SolverError
-from layerscat.operators import assemble_blocks, assemble_farfield
+from layerscat.operators import (_decimate, _log_4sin2, assemble_blocks,
+                                 assemble_farfield)
 
 from _oracles import (circle_double_layer_offset, circle_eigenvalues,
-                      evaluate_potential)
+                      evaluate_potential, trig_interpolation_matrix)
 
 
 @pytest.mark.parametrize("radius,k,n", [(1.0, 2.0, 32), (2.4, 2.0, 32),
@@ -195,3 +196,24 @@ def test_double_layer_jump_relation():
     val = evaluate_potential(g, k, x0 + 0.4 * nu0, phi, "double")[0]
     ref = circle_double_layer_offset(radius, k, m, 1.4) * np.exp(1j * m * g.t[5])
     assert abs(val - ref) < 1e-8
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_decimation_is_the_transposed_interpolation(n):
+    # folding fine-grid rows back onto 2n nodes equals multiplying by the
+    # interpolation matrix from 2n to 2nq nodes, Nyquist split included
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((2, 5, 8 * n))
+    expected = rows @ trig_interpolation_matrix(n, 4)
+    got = _decimate(rows, n)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_log_term_is_cached_and_exact():
+    g = discretize(ParametricCurve.preset("kite"), 16)
+    sdiff = g.s[:, None] - g.s[None, :]
+    direct = np.log(4.0 * np.sin(0.5 * sdiff) ** 2 + np.eye(g.size))
+    np.fill_diagonal(direct, 0.0)
+    cached = _log_4sin2(16)
+    assert np.array_equal(cached, direct)
+    assert cached is _log_4sin2(16) and not cached.flags.writeable

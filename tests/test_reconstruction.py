@@ -1,11 +1,11 @@
 """Slower end-to-end reconstruction behaviors beyond the acceptance
 gates: the sound-hard noisy multi-frequency case and stage-abort
-continuation."""
+continuation after a rejected step or a failed solve."""
 
 import numpy as np
 
 from layerscat.data_io import add_noise, synthesize
-from layerscat.errors import StageAbortError
+from layerscat.errors import SolverError, StageAbortError
 from layerscat.geometry import ParametricCurve
 from layerscat.inverse import (ShapeState, SolverConfig,
                                multi_frequency_drive)
@@ -58,3 +58,38 @@ def test_aborted_stage_keeps_state_and_continues(monkeypatch):
     assert trace.stage_final[1][3] is False     # second stage still ran
     ks = {r.k0 for r in trace.iterations}
     assert ks == {2.0, 4.0}
+
+
+def test_solver_failure_aborts_only_its_stage(monkeypatch):
+    config = SolverConfig(frequencies=(2.0, 3.0, 4.0), num_incident=1,
+                          modes=2, max_iterations=2, n_obs=16, n_solve=16,
+                          n_synth=16)
+    dataset = synthesize(ParametricCurve.preset("circle", radius=2.2),
+                         ParametricCurve.preset("circle", radius=0.7), 3.0,
+                         config)
+    state0 = ShapeState.initial(r0=2.0, r1=0.8, lambda1=2.0, modes=2)
+
+    import layerscat.inverse as inv
+
+    real_solve = inv.solve_plane_wave
+    stage2_solves = []
+
+    def failing(curve0, curve1, params, d, n, obs):
+        # the second forward solve of the k0 = 3 stage fails
+        if params.k0 == 3.0:
+            stage2_solves.append(params.lambda1)
+            if len(stage2_solves) == 2:
+                raise SolverError("forced for the abort test")
+        return real_solve(curve0, curve1, params, d, n, obs)
+
+    monkeypatch.setattr(inv, "solve_plane_wave", failing)
+    state, trace = multi_frequency_drive(state0, dataset, config)
+    assert [s[3] for s in trace.stage_final] == [False, True, False]
+    stage2 = [r for r in trace.iterations if r.k0 == 3.0]
+    assert len(stage2) == 1                  # the partial record is kept
+    assert trace.stage_final[1][1] == stage2[0].err
+    # the aborted stage hands on the state of its last record
+    stage3 = [r for r in trace.iterations if r.k0 == 4.0]
+    assert stage3[0].lambda1 == stage2[0].lambda1
+    assert stage3[0].r0_coeffs == stage2[0].r0_coeffs
+    assert trace.stage_final[2][2] == state.lambda1
