@@ -8,6 +8,15 @@ densely and LU-factored once per geometry.  The factorization serves
 every incident direction, and, solved transposed, the far-field rows
 that the Jacobian needs.
 
+The S/K/KT/T operator blocks depend on the grids and the wavenumbers
+only; lambda1 enters just their scalar combination and the LU.  The
+blocks of the last assembly are therefore kept and reused while the same
+grid objects (compared by identity) and the same (k0, k1, k2) recur, as
+when one geometry is solved at several lambda1; a new grid object always
+reassembles, and so does every Newton iterate.  The blocks are shared,
+read-only arrays.  The close-curves warning comes only from an assembly
+that actually runs.
+
 The far field of the exterior representation is
 
     u_inf = lambda0 (K_inf psi1) + (S_inf psi2),
@@ -154,6 +163,64 @@ class BoundaryTraces:
     duds1: np.ndarray
 
 
+# The block set of the last assembly, ((grid0, grid1, (k0, k1, k2)),
+# blocks), or None.  One slot: systems on the same grid objects and
+# wavenumbers, such as one geometry at several lambda1, share one block
+# set, and at most one set outlives the systems that use it.
+_last_blocks = None
+
+
+def _operator_blocks(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
+                     params: MediumParams):
+    """The S/K/KT/T blocks of the system: those of the last assembly when
+    its grids are these very objects and its (k0, k1, k2) are equal, else
+    assembled anew.  The arrays are shared between systems and read-only."""
+    global _last_blocks
+    ks = (params.k0, params.k1, params.k2)
+    if _last_blocks is not None:
+        (g0, g1, last_ks), blocks = _last_blocks
+        if g0 is grid0 and g1 is grid1 and last_ks == ks:
+            return blocks
+        # drop the old set before building the new one, so that two sets
+        # are never alive at once
+        _last_blocks = blocks = None
+    k0, k1, k2 = ks
+    b0_k0 = assemble_blocks(grid0, grid0, k0)
+    b0_k1 = assemble_blocks(grid0, grid0, k1)
+    b1_k1 = assemble_blocks(grid1, grid1, k1)
+    if k2 == k1:
+        b1_k2 = b1_k1
+    else:
+        b1_k2 = assemble_blocks(grid1, grid1, k2)
+    c01 = assemble_blocks(grid0, grid1, k1)
+    c10 = assemble_blocks(grid1, grid0, k1)
+    blocks = {"0k0": b0_k0, "0k1": b0_k1, "1k1": b1_k1, "1k2": b1_k2,
+              "01": c01, "10": c10}
+    for group in blocks.values():
+        for arr in group.values():
+            arr.setflags(write=False)
+    _last_blocks = ((grid0, grid1, ks), blocks)
+    return blocks
+
+
+def _combine(out, scale, x, y=None, x_weight=None, y_weight=None):
+    """Write scale * x, or scale * (x_weight * x - y_weight * y) with
+    either weight left out, into ``out``: no temporaries, and the order
+    of operations of that expression."""
+    if y is None:
+        np.multiply(x, scale, out=out)
+        return
+    if x_weight is not None:
+        np.multiply(x, x_weight, out=out)
+        np.subtract(out, y, out=out)
+    elif y_weight is not None:
+        np.multiply(y, y_weight, out=out)
+        np.subtract(x, out, out=out)
+    else:
+        np.subtract(x, y, out=out)
+    out *= scale
+
+
 class TransmissionSystem:
     """Assembled and factored discrete system for one geometry/medium."""
 
@@ -169,42 +236,36 @@ class TransmissionSystem:
     def _assemble(self):
         p = self.params
         g0, g1 = self.grid0, self.grid1
-        b0_k0 = assemble_blocks(g0, g0, p.k0)
-        b0_k1 = assemble_blocks(g0, g0, p.k1)
-        b1_k1 = assemble_blocks(g1, g1, p.k1)
-        if p.k2 == p.k1:
-            b1_k2 = b1_k1
-        else:
-            b1_k2 = assemble_blocks(g1, g1, p.k2)
-        c01 = assemble_blocks(g0, g1, p.k1)
-        c10 = assemble_blocks(g1, g0, p.k1)
-        self.blocks = {
-            "0k0": b0_k0, "0k1": b0_k1, "1k1": b1_k1, "1k2": b1_k2,
-            "01": c01, "10": c10,
-        }
+        self.blocks = _operator_blocks(g0, g1, p)
 
         def m(group, kind):
             return self.blocks[group][kind]
 
         mu0, mu1, la0, la1 = p.mu0, p.mu1, p.lambda0, p.lambda1
-        row1 = [mu0 * (la0 * m("0k0", "K") - m("0k1", "K")),
-                mu0 * (m("0k0", "S") - m("0k1", "S")),
-                -mu0 * la1 * m("01", "K"),
-                -mu0 * m("01", "S")]
-        row2 = [-mu0 * la0 * (m("0k0", "T") - m("0k1", "T")),
-                -mu0 * (m("0k0", "KT") - la0 * m("0k1", "KT")),
-                mu0 * la0 * la1 * m("01", "T"),
-                mu0 * la0 * m("01", "KT")]
-        row3 = [mu1 * m("10", "K"),
-                mu1 * m("10", "S"),
-                mu1 * (la1 * m("1k1", "K") - m("1k2", "K")),
-                mu1 * (m("1k1", "S") - m("1k2", "S"))]
-        row4 = [-mu1 * m("10", "T"),
-                -mu1 * m("10", "KT"),
-                -mu1 * la1 * (m("1k1", "T") - m("1k2", "T")),
-                -mu1 * (m("1k1", "KT") - la1 * m("1k2", "KT"))]
-        a = np.block([row1, row2, row3, row4])
-        self.matrix = a + np.eye(a.shape[0])
+        cuts = np.cumsum([0, g0.size, g0.size, g1.size, g1.size])
+        a = np.empty((cuts[-1], cuts[-1]), dtype=complex)
+
+        def at(i, j):
+            return a[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]]
+
+        _combine(at(0, 0), mu0, m("0k0", "K"), m("0k1", "K"), x_weight=la0)
+        _combine(at(0, 1), mu0, m("0k0", "S"), m("0k1", "S"))
+        _combine(at(0, 2), -mu0 * la1, m("01", "K"))
+        _combine(at(0, 3), -mu0, m("01", "S"))
+        _combine(at(1, 0), -mu0 * la0, m("0k0", "T"), m("0k1", "T"))
+        _combine(at(1, 1), -mu0, m("0k0", "KT"), m("0k1", "KT"), y_weight=la0)
+        _combine(at(1, 2), mu0 * la0 * la1, m("01", "T"))
+        _combine(at(1, 3), mu0 * la0, m("01", "KT"))
+        _combine(at(2, 0), mu1, m("10", "K"))
+        _combine(at(2, 1), mu1, m("10", "S"))
+        _combine(at(2, 2), mu1, m("1k1", "K"), m("1k2", "K"), x_weight=la1)
+        _combine(at(2, 3), mu1, m("1k1", "S"), m("1k2", "S"))
+        _combine(at(3, 0), -mu1, m("10", "T"))
+        _combine(at(3, 1), -mu1, m("10", "KT"))
+        _combine(at(3, 2), -mu1 * la1, m("1k1", "T"), m("1k2", "T"))
+        _combine(at(3, 3), -mu1, m("1k1", "KT"), m("1k2", "KT"), y_weight=la1)
+        a.reshape(-1)[::a.shape[0] + 1] += 1.0
+        self.matrix = a
 
     def _factor(self):
         m = self.matrix
@@ -212,19 +273,20 @@ class TransmissionSystem:
         if abs(self.params.lambda1) > EQUILIBRATE_THRESHOLD:
             col = np.max(np.abs(m), axis=0)
             col[col == 0.0] = 1.0
-            scaled = m / col[None, :]
-            row = np.max(np.abs(scaled), axis=1)
+            # a private copy in LAPACK's (Fortran) layout, scaled and then
+            # factored in place; self.matrix stays intact for the residuals
+            work = np.divide(m, col[None, :], order="F")
+            row = np.max(np.abs(work), axis=1)
             row[row == 0.0] = 1.0
-            scaled = scaled / row[:, None]
+            work /= row[:, None]
             self._col_scale = col
             self._row_scale = row
-            work = scaled
         else:
             self._col_scale = np.ones(n)
             self._row_scale = np.ones(n)
             work = m
         try:
-            self._lu = sla.lu_factor(work)
+            self._lu = sla.lu_factor(work, overwrite_a=work is not m)
         except sla.LinAlgError as exc:  # pragma: no cover - defensive
             raise SolverError(f"transmission system singular: {exc}") from exc
 

@@ -44,7 +44,7 @@ def _readonly(a):
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class StarlikeShape:
     """Starlike boundary: center + r(theta) (cos theta, sin theta).
 
@@ -58,13 +58,14 @@ class StarlikeShape:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.center = _readonly(np.asarray(self.center, dtype=float).reshape(2))
+        object.__setattr__(self, "center", _readonly(
+            np.asarray(self.center, dtype=float).reshape(2)))
         coeffs = np.asarray(self.coeffs, dtype=float).ravel()
         if coeffs.size % 2 != 1:
             raise ConfigurationError(
                 f"starlike coefficient count must be odd (2M+1), got {coeffs.size}"
             )
-        self.coeffs = _readonly(coeffs)
+        object.__setattr__(self, "coeffs", _readonly(coeffs))
 
     @property
     def modes(self) -> int:
@@ -134,7 +135,7 @@ def _apple_radius(theta):
     return r, rp, rpp
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParametricCurve:
     """A closed analytic 2pi-periodic boundary curve.
 
@@ -289,7 +290,7 @@ class NodeMap:
         return t + 2.0 * np.pi * period, dt, -scale * scale * drho / rho**3
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DiscretizedBoundary:
     """Pointwise curve data at the 2n Nystrom nodes.
 
@@ -299,7 +300,10 @@ class DiscretizedBoundary:
     ``ddx`` are derivatives with respect to s, so ``speed`` = |dx/ds|
     absorbs both the arc-length factor and the map's Jacobian in all
     quadratures.  Normals are outward unit vectors for the
-    counterclockwise preset and starlike parametrizations.
+    counterclockwise preset and starlike parametrizations.  Frozen, with
+    read-only arrays and a frozen curve, so a grid object fixes its
+    content (the cross-curve blocks rediscretize ``curve``): the forward
+    solver reuses operator blocks by grid identity.
     """
 
     curve: ParametricCurve

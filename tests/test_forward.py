@@ -1,15 +1,21 @@
 """Forward transmission solver: oracle equivalence, linearity,
-reciprocity, trace consistency, and the tau/lambda equivalence."""
+reciprocity, trace consistency, the tau/lambda equivalence, and the
+reuse of operator blocks across systems."""
+
+import warnings
+import weakref
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
+import layerscat.forward as forward
 from layerscat.errors import ConfigurationError
 from layerscat.forward import (BoundaryData, MediumParams, assemble_system,
                                observation_directions,
                                oracle_concentric_circles, plane_wave_data,
                                solve_plane_wave)
-from layerscat.geometry import ParametricCurve, discretize
+from layerscat.geometry import ParametricCurve, StarlikeShape, discretize
 
 
 def _params(k0=2.0, lambda1=2.0, **kw):
@@ -201,3 +207,147 @@ def test_plane_wave_columns_match_single_directions():
         for got, ref in zip(vars(traces).values(), vars(tr1).values()):
             assert np.max(np.abs(got[:, i] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+
+# -- operator blocks shared across systems ----------------------------------
+@pytest.fixture
+def block_calls(monkeypatch):
+    """Empty the block memo and record every ``assemble_blocks`` call the
+    forward solver makes."""
+    calls = []
+    assemble = forward.assemble_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    forward._last_blocks = None
+    monkeypatch.setattr(forward, "assemble_blocks", counted)
+    yield calls
+    forward._last_blocks = None
+
+
+def _pair(n=12):
+    return (discretize(ParametricCurve.preset("rounded_triangle"), n),
+            discretize(ParametricCurve.preset("apple"), n))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lambda1", [1e-6, 1e6])
+def test_block_reuse_is_exact(block_calls, lambda1):
+    """Another lambda1 on the same grids and k assembles no block, and the
+    system equals one built from freshly assembled blocks bit for bit;
+    1e-6 and 1e6 take the plain and the equilibrated factorization."""
+    g0, g1 = _pair()
+    first = assemble_system(g0, g1, _params(lambda1=2.0))
+    assert len(block_calls) == 5
+    block_calls.clear()
+    reused = assemble_system(g0, g1, _params(lambda1=lambda1))
+    assert block_calls == []
+    assert reused.blocks is first.blocks
+    forward._last_blocks = None
+    fresh = assemble_system(g0, g1, _params(lambda1=lambda1))
+    assert len(block_calls) == 5 and fresh.blocks is not reused.blocks
+
+    data = plane_wave_data(g0, g1, 2.0, observation_directions(3))
+    rhs = data.stacked(fresh.params.mu0, fresh.params.mu1)
+    obs = observation_directions(8)
+    assert _same_bits(reused.matrix, fresh.matrix)
+    psi_r, psi_f = reused.solve_stacked(rhs), fresh.solve_stacked(rhs)
+    assert _same_bits(psi_r, psi_f)
+    dens_r, dens_f = reused.solve(data), fresh.solve(data)
+    assert _same_bits(reused.far_field(dens_r, obs),
+                      fresh.far_field(dens_f, obs))
+    for got, ref in zip(vars(reused.boundary_traces(dens_r)).values(),
+                        vars(fresh.boundary_traces(dens_f)).values()):
+        assert _same_bits(got, ref)
+
+
+@pytest.mark.parametrize("change", ["k0", "n1", "k2", "grid"])
+def test_block_reuse_misses(block_calls, change):
+    """A new k0, k1 (through n1) or k2, or a new grid object with the same
+    content, assembles every block again."""
+    g0, g1 = _pair()
+    first = assemble_system(g0, g1, _params())
+    block_calls.clear()
+    params, calls = _params(), 5
+    if change == "k0":
+        params = _params(k0=2.5)
+    elif change == "n1":
+        params = MediumParams.create(k0=2.0, n1=0.81, lambda0=1.2,
+                                     lambda1=2.0)
+    elif change == "k2":
+        params, calls = _params(k2=1.3), 6
+    else:
+        g0 = discretize(g0.curve, g0.n)
+    system = assemble_system(g0, g1, params)
+    assert len(block_calls) == calls
+    groups = {(t is s, k) for t, s, k in block_calls}
+    assert groups == ({(True, params.k0), (True, params.k1),
+                       (True, params.k2), (False, params.k1)})
+    assert system.blocks is not first.blocks
+
+
+def test_shared_blocks_and_grids_are_read_only(block_calls):
+    g0, g1 = _pair()
+    system = assemble_system(g0, g1, _params())
+    for group in system.blocks.values():
+        for block in group.values():
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        g0.n = 8
+    with pytest.raises(FrozenInstanceError):
+        g1.x = np.zeros_like(g1.x)
+    # the cross-curve blocks rediscretize the source grid's curve
+    with pytest.raises(FrozenInstanceError):
+        g1.curve.kind = "kite"
+    with pytest.raises(FrozenInstanceError):
+        StarlikeShape.circle(1.0).coeffs = np.ones(3)
+
+
+def test_block_memo_drops_old_blocks_before_assembling(block_calls,
+                                                       monkeypatch):
+    """A miss frees the stored block set before the first new block is
+    built, so two sets are never alive at once."""
+    g0, g1 = _pair()
+    system = assemble_system(g0, g1, _params())
+    old = weakref.ref(system.blocks["0k0"]["S"])
+    del system
+    assert old() is not None  # held by the memo alone
+    alive_at_first_call = []
+    counted = forward.assemble_blocks
+
+    def probe(*args, **kwargs):
+        if not alive_at_first_call:
+            alive_at_first_call.append(old() is not None)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "assemble_blocks", probe)
+    assemble_system(g0, g1, _params(k0=3.0))
+    assert alive_at_first_call == [False]
+
+
+def test_block_calls_per_grid_pair_and_k0(block_calls):
+    """A sweep shaped like the forward benchmark (one grid pair, two k0,
+    two lambda1 each) assembles the blocks once per (grid pair, k0)."""
+    g0, g1 = _pair()
+    systems = [assemble_system(g0, g1, _params(k0=k0, lambda1=lam))
+               for k0 in (1.0, 3.0) for lam in (1e-6, 1e6)]
+    assert len(systems) == 4
+    assert len(block_calls) == 2 * 5
+
+
+def test_close_pair_warns_only_when_blocks_are_assembled(block_calls):
+    g0 = discretize(ParametricCurve.preset("circle", radius=1.0), 16)
+    g1 = discretize(ParametricCurve.preset("circle", radius=0.97), 16)
+    with pytest.warns(RuntimeWarning, match="apart"):
+        assemble_system(g0, g1, _params(k0=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assemble_system(g0, g1, _params(k0=1.0, lambda1=5.0))
+    assert len(block_calls) == 5
