@@ -32,6 +32,7 @@ the whole chain.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,10 +286,15 @@ class TransmissionSystem:
             self._col_scale = np.ones(n)
             self._row_scale = np.ones(n)
             work = m
-        try:
+        # an exact zero pivot only warns and leaves U singular, so U's
+        # diagonal is checked instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
             self._lu = sla.lu_factor(work, overwrite_a=work is not m)
-        except sla.LinAlgError as exc:  # pragma: no cover - defensive
-            raise SolverError(f"transmission system singular: {exc}") from exc
+        zero = np.flatnonzero(np.diagonal(self._lu[0]) == 0.0)
+        if zero.size:
+            raise SolverError(
+                f"transmission system singular: zero pivot in column {zero[0]}")
 
     def _raw_solve(self, rhs):
         y = sla.lu_solve(self._lu, rhs / self._row_scale[:, None])

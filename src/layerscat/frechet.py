@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .forward import BoundaryData, BoundaryTraces, MediumParams, TransmissionSystem
-from .geometry import DiscretizedBoundary
+from .geometry import DiscretizedBoundary, _harmonics
 
 
 @dataclass
@@ -62,8 +62,8 @@ def radial_normal_component(grid: DiscretizedBoundary, center, modes: int):
     |dx/dtheta| = |dx/ds| / theta'(s) on graded grids.
     """
     r = np.linalg.norm(grid.x - np.asarray(center)[None, :], axis=1)
-    lt = np.outer(grid.t, np.arange(1, modes + 1))
-    basis = np.hstack([np.ones((grid.size, 1)), np.cos(lt), np.sin(lt)])
+    z = _harmonics(grid.t, modes)
+    basis = np.hstack([np.ones((grid.size, 1)), z.real.T, z.imag.T])
     return basis * r[:, None] / grid.speed[:, None] * grid.dt[:, None]
 
 

@@ -9,8 +9,16 @@ Two curve families:
   apple, kite, rounded_square, rounded_triangle).
 
 All evaluation is vectorized over the parameter; derivatives are closed
-form, never finite differences.  Geometry values are immutable after
-construction.
+form, never finite differences.  Trigonometric polynomials (starlike
+radii, node-map densities) take cos(l theta) and sin(l theta) from one
+complex exponential per point (``_harmonics``).  Geometry values are
+immutable after construction.
+
+A curve pair is analysed once: ``validate_pair`` and the node grading
+of ``discretize_pair`` share a single-slot memo (``_pair_memo``) that
+holds the last pair's polyline separation and node maps, so the
+resolution checks of a Newton iterate reuse its maps, and a pair
+validated at least GRADING_OFF apart skips the grading analysis.
 """
 
 from __future__ import annotations
@@ -42,6 +50,27 @@ def _readonly(a):
     arr = np.array(a, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def _harmonics(theta, m):
+    """exp(i l theta) for l = 1..m, shape (m,) + theta.shape: the real
+    and imaginary parts are cos(l theta) and sin(l theta).
+
+    One complex exponential per angle; the powers follow by
+    multiplication, doubling the count of known powers at each step.
+    Power l carries an error of O(l) ulps, against the l |theta| ulps of
+    rounding l theta before a cosine.
+    """
+    z = np.exp(1j * np.asarray(theta, dtype=float))
+    out = np.empty((m,) + z.shape, dtype=complex)
+    if m:
+        out[0] = z
+    k = 1
+    while k < m:
+        n = min(k, m - k)
+        np.multiply(out[:n], out[k - 1], out=out[k:k + n])  # z^(l+k)
+        k += n
+    return out
 
 
 @dataclass(frozen=True)
@@ -77,21 +106,28 @@ class StarlikeShape:
         coeffs[0] = radius
         return cls(np.asarray(center, dtype=float), coeffs)
 
+    def _radius_at(self, z):
+        """r from the harmonics z = ``_harmonics(theta, M)`` of flat
+        theta, as a_0 + Re sum_l w_l z_l with w_l = a_l - i a_{l+M};
+        returns (r, w)."""
+        m = self.modes
+        w = self.coeffs[1:m + 1] - 1j * self.coeffs[m + 1:]
+        return self.coeffs[0] + (w @ z).real, w
+
     def radius(self, theta):
-        r, _, _ = self.radius_derivatives(theta)
-        return r
+        """r at the given angles, without its derivatives."""
+        theta = np.asarray(theta, dtype=float)
+        r, _ = self._radius_at(_harmonics(theta.ravel(), self.modes))
+        return r.reshape(theta.shape)
 
     def radius_derivatives(self, theta):
-        """Return (r, r', r'') at the given angles."""
+        """Return (r, r', r'') at the given angles; r is ``radius``'s to
+        the bit."""
         theta = np.asarray(theta, dtype=float)
-        m = self.modes
-        l = np.arange(1, m + 1)
-        lt = np.multiply.outer(theta.ravel(), l)
-        c, s = np.cos(lt), np.sin(lt)
-        ac, as_ = self.coeffs[1:m + 1], self.coeffs[m + 1:]
-        r = self.coeffs[0] + c @ ac + s @ as_
-        rp = s @ (-l * ac) + c @ (l * as_)
-        rpp = c @ (-l * l * ac) - s @ (l * l * as_)
+        z = _harmonics(theta.ravel(), self.modes)
+        r, w = self._radius_at(z)
+        l = np.arange(1, self.modes + 1)
+        rp, rpp = (np.stack([1j * l * w, -l * l * w]) @ z).real
         return tuple(v.reshape(theta.shape) for v in (r, rp, rpp))
 
     def validate(self, floor=RADIUS_FLOOR, n_check=VALIDATION_GRID):
@@ -241,22 +277,26 @@ class NodeMap:
         """Return (int_0^t rho, rho(t), rho'(t))."""
         t = np.asarray(t, dtype=float)
         m = np.arange(1, self.base_cos.size)
-        mt = np.multiply.outer(t, m)
-        c, sn = np.cos(mt), np.sin(mt)
-        a, b = self.base_cos[1:], self.base_sin
-        integral = self.base_cos[0] * t + sn @ (a / m) - (c - 1.0) @ (b / m)
-        rho = self.base_cos[0] + c @ a + sn @ b
-        drho = sn @ (-m * a) + c @ (m * b)
+        coef = self.base_cos[1:] - 1j * self.base_sin
+        z = _harmonics(t.ravel(), m.size)
+        rho, drho = (np.stack([coef, 1j * m * coef]) @ z).real
+        # int_0^t (a cos + b sin)(m tau) = Re[(a - i b)(exp(i m t) - 1) / (i m)],
+        # exactly 0 at t = 0
+        integral = (self.base_cos[0] * t
+                    + ((coef / (1j * m)) @ (z - 1.0)).real.reshape(t.shape))
+        rho = self.base_cos[0] + rho.reshape(t.shape)
+        drho = drho.reshape(t.shape)
         for c0, eta, w in zip(self.centers, self.widths, self.weights):
             r = np.exp(-eta)
-            u = t - c0
-            den = 1.0 - 2.0 * r * np.cos(u) + r * r
+            e_u = np.exp(1j * (t - c0))
+            cos_u, sin_u = e_u.real, e_u.imag
+            den = 1.0 - 2.0 * r * cos_u + r * r
             half = 0.5 * w * eta
             integral = integral + half * (
-                t + 2.0 * np.arctan(r * np.sin(u) / (1.0 - r * np.cos(u)))
+                t + 2.0 * np.arctan(r * sin_u / (1.0 - r * cos_u))
                 + 2.0 * np.arctan(r * np.sin(c0) / (1.0 - r * np.cos(c0))))
             rho = rho + half * (1.0 - r * r) / den
-            drho = drho - half * (1.0 - r * r) * 2.0 * r * np.sin(u) / den**2
+            drho = drho - half * (1.0 - r * r) * 2.0 * r * sin_u / den**2
         return integral, rho, drho
 
     def evaluate(self, s):
@@ -380,41 +420,55 @@ def _closest_approaches(curve: ParametricCurve, other: ParametricCurve,
     ``dist[j, k]`` = |x(t_j) - y(t_k)| on GRADING_SAMPLES equispaced
     parameters.  Returns (t_i, d_i, |x'(t_i)|) for every strict local
     minimum closer than GRADING_OFF, refined by Newton's method on
-    |x(t) - y(tau)|^2 / 2 from the best sample pair.  Flat stretches
-    (concentric circles) have no strict minimum and give none.
+    |x(t) - y(tau)|^2 / 2 from the best sample pair.  All candidates
+    iterate together; each stops on its own after 20 steps, on a Hessian
+    that is not positive definite or a step longer than 4 pi / m (both
+    leave it where it is), or after a step below 1e-13.  A minimum within
+    1e-6 of an earlier one is dropped.  Flat stretches (concentric
+    circles) have no strict minimum and give none.
     """
     m = dist.shape[0]
     grid = 2.0 * np.pi * np.arange(m) / m
     nearest = np.argmin(dist, axis=1)
     d = dist[np.arange(m), nearest]
     h = m // 32
-    cand = ((d <= np.roll(d, 1)) & (d <= np.roll(d, -1))
-            & (d < np.roll(d, h) - 1e-9) & (d < np.roll(d, -h) - 1e-9)
-            & (d < GRADING_OFF))
+    cand = np.flatnonzero(
+        (d <= np.roll(d, 1)) & (d <= np.roll(d, -1))
+        & (d < np.roll(d, h) - 1e-9) & (d < np.roll(d, -h) - 1e-9)
+        & (d < GRADING_OFF))
+    if cand.size == 0:
+        return []
+    t, tau = grid[cand], grid[nearest[cand]]
+    active = np.arange(cand.size)
+    for _ in range(20):
+        x, dx, ddx = curve.evaluate(t[active])
+        y, dy, ddy = other.evaluate(tau[active])
+        r = x - y
+        g_t, g_tau = np.sum(r * dx, axis=1), -np.sum(r * dy, axis=1)
+        h_tt = np.sum(dx * dx, axis=1) + np.sum(r * ddx, axis=1)
+        h_ttau = -np.sum(dx * dy, axis=1)
+        h_tautau = np.sum(dy * dy, axis=1) - np.sum(r * ddy, axis=1)
+        det = h_tt * h_tautau - h_ttau * h_ttau
+        move = (det > 0.0) & (h_tt > 0.0)
+        safe = np.where(move, det, 1.0)
+        step_t = (h_tautau * g_t - h_ttau * g_tau) / safe
+        step_tau = (h_tt * g_tau - h_ttau * g_t) / safe
+        size = np.maximum(np.abs(step_t), np.abs(step_tau))
+        move &= size <= 4.0 * np.pi / m
+        t[active[move]] -= step_t[move]
+        tau[active[move]] -= step_tau[move]
+        active = active[move & (size >= 1e-13)]
+        if active.size == 0:
+            break
+    x, dx, _ = curve.evaluate(t)
+    dval = np.hypot(*(x - other.point(tau)).T)
+    speed = np.hypot(*dx.T)
+    t = np.mod(t, 2.0 * np.pi)
     found = []
-    for j in np.flatnonzero(cand):
-        t, tau = grid[j], grid[nearest[j]]
-        for _ in range(20):
-            x, dx, ddx = (v[0] for v in curve.evaluate(np.array([t])))
-            y, dy, ddy = (v[0] for v in other.evaluate(np.array([tau])))
-            r = x - y
-            grad = np.array([r @ dx, -(r @ dy)])
-            hess = np.array([[dx @ dx + r @ ddx, -(dx @ dy)],
-                             [-(dx @ dy), dy @ dy - r @ ddy]])
-            if np.linalg.det(hess) <= 0.0 or hess[0, 0] <= 0.0:
-                break
-            step = np.linalg.solve(hess, grad)
-            if np.max(np.abs(step)) > 4.0 * np.pi / m:
-                break
-            t, tau = t - step[0], tau - step[1]
-            if np.max(np.abs(step)) < 1e-13:
-                break
-        x, dx, _ = (v[0] for v in curve.evaluate(np.array([t])))
-        dval = float(np.linalg.norm(x - other.point(np.array([tau]))[0]))
-        t = float(np.mod(t, 2.0 * np.pi))
-        if dval < GRADING_OFF and all(
-                abs(np.angle(np.exp(1j * (t - f[0])))) > 1e-6 for f in found):
-            found.append((t, dval, float(np.linalg.norm(dx))))
+    for ti, di, si in zip(t, dval, speed):
+        if di < GRADING_OFF and all(
+                abs(np.angle(np.exp(1j * (ti - f[0])))) > 1e-6 for f in found):
+            found.append((float(ti), float(di), float(si)))
     return found
 
 
@@ -459,10 +513,31 @@ def _pair_node_maps(outer: ParametricCurve, inner: ParametricCurve):
     from GRADING_OFF to GRADING_FULL.  Returns (outer map, inner map);
     both are None, the identity, when the curves are at least
     GRADING_OFF apart.
+
+    The maps depend on the curves only, so each pair is analysed once:
+    see ``_pair_memo``.  When ``validate_pair`` has measured the pair's
+    polyline separation at GRADING_OFF or more, the maps are the
+    identity without the sampled distance table: the GRADING_SAMPLES
+    samples are vertices of the VALIDATION_GRID polylines, so no sampled
+    distance falls below the separation, and no sample can start a
+    closest-approach search (up to a relative roundoff slack of 1e-12).
     """
+    memo = _pair_memo(outer, inner)
+    if memo.maps is None:
+        if (memo.separation is not None
+                and memo.separation >= GRADING_OFF * (1.0 + 1e-12)):
+            memo.maps = (None, None)
+        else:
+            memo.maps = _graded_node_maps(outer, inner)
+    return memo.maps
+
+
+def _graded_node_maps(outer: ParametricCurve, inner: ParametricCurve):
+    """The full analysis of ``_pair_node_maps``, from the sampled
+    distance table."""
     grid = 2.0 * np.pi * np.arange(GRADING_SAMPLES) / GRADING_SAMPLES
-    dist = np.linalg.norm(
-        outer.point(grid)[:, None, :] - inner.point(grid)[None, :, :], axis=2)
+    p, q = outer.point(grid), inner.point(grid)
+    dist = np.hypot(p[:, None, 0] - q[None, :, 0], p[:, None, 1] - q[None, :, 1])
     found = (_closest_approaches(outer, inner, dist),
              _closest_approaches(inner, outer, dist.T))
     dmin = min((d for f in found for _, d, _ in f), default=np.inf)
@@ -471,6 +546,38 @@ def _pair_node_maps(outer: ParametricCurve, inner: ParametricCurve):
         return None, None
     return (_node_map(outer, found[0], strength),
             _node_map(inner, found[1], strength))
+
+
+@dataclass(eq=False)
+class _PairAnalysis:
+    """What is known of one curve pair: the polyline separation measured
+    by ``validate_pair`` and the node maps of ``_pair_node_maps``, each
+    None until computed."""
+
+    key: tuple
+    separation: float | None = None
+    maps: tuple | None = None
+
+
+_last_pair: _PairAnalysis | None = None
+
+
+def _pair_memo(outer: ParametricCurve, inner: ParametricCurve) -> _PairAnalysis:
+    """The analysis slot of (outer, inner): the stored one if it belongs
+    to the same two curves, else a fresh one that replaces it, so at
+    most one pair is retained.
+
+    A starlike curve is identified by its frozen ``StarlikeShape``, since
+    every Newton iterate wraps the same shapes in new ParametricCurve
+    objects; a preset by the curve object itself.  The slot holds its
+    keys, so no other object can take their identity while it lives.
+    """
+    global _last_pair
+    key = tuple(c.shape if c.kind == "starlike" else c for c in (outer, inner))
+    last = _last_pair
+    if last is None or any(a is not b for a, b in zip(key, last.key)):
+        last = _last_pair = _PairAnalysis(key)
+    return last
 
 
 def discretize_pair(outer: ParametricCurve, inner: ParametricCurve, n: int):
@@ -585,6 +692,28 @@ def _points_in_polygon(points, poly):
     return crossings % 2 == 1
 
 
+def _points_in_star(points, center, poly):
+    """Containment in the polygon through poly (N, 2), whose vertex j
+    sits at the polar angle 2 pi j / N about ``center``, as on a
+    starlike polyline.
+
+    Each edge lies in the angular sector between its two vertices, so
+    the polygon is star-shaped about the center: a point is inside
+    exactly when it lies left of its sector's (counterclockwise) edge.
+    Away from the boundary this is the decision of ray casting; a
+    sector misjudged by roundoff at a sector border changes it only for
+    points within roundoff of a vertex.
+    """
+    n = poly.shape[0]
+    rel = points - center
+    sector = np.floor(np.arctan2(rel[:, 1], rel[:, 0])
+                      * (n / (2.0 * np.pi))).astype(int) % n
+    a = poly[sector]
+    edge = poly[(sector + 1) % n] - a
+    ap = points - a
+    return edge[:, 0] * ap[:, 1] - edge[:, 1] * ap[:, 0] > 0.0
+
+
 def _point_segment_distances(points, a, ab, ab2):
     """|p - c| row by row, c the point of segment a + s ab closest to p."""
     ap = points - a
@@ -634,9 +763,11 @@ def validate_pair(outer: ParametricCurve, inner: ParametricCurve,
 
     Raises GeometryError if a starlike radius is not finite or dips
     below RADIUS_FLOOR, a preset polyline self-intersects, any inner
-    node falls outside the outer polygon, the polylines come closer than
-    ``margin``, or they intersect.  Both polyline checks are exact, with
-    L_max the longest segment:
+    node falls outside the outer polygon (by angular sector about a
+    starlike outer curve's center, ``_points_in_star``, else by ray
+    casting), the polylines come closer than ``margin``, or they
+    intersect.  Both polyline checks are exact, with L_max the longest
+    segment:
 
     * candidate reach: the minimum over (vertex, segment) pairs is at
       most the smallest vertex-to-vertex distance d_v, and the point of
@@ -649,10 +780,17 @@ def validate_pair(outer: ParametricCurve, inner: ParametricCurve,
       the polylines cannot cross when the minimum distance exceeds half
       the smaller of the two curves' L_max; the all-pairs crossing test
       runs only otherwise.
+
+    On the VALIDATION_GRID the separation of an accepted pair is kept in
+    the pair's memo slot for ``_pair_node_maps``.
     """
     pts_outer = _checked_polyline(outer, n_check)
     pts_inner = _checked_polyline(inner, n_check)
-    if not np.all(_points_in_polygon(pts_inner, pts_outer)):
+    if outer.kind == "starlike":
+        inside = _points_in_star(pts_inner, outer.shape.center, pts_outer)
+    else:
+        inside = _points_in_polygon(pts_inner, pts_outer)
+    if not np.all(inside):
         raise GeometryError("buried boundary is not strictly inside the interface")
     dmin, l_outer, l_inner = _polyline_separation(pts_outer, pts_inner)
     if dmin < margin:
@@ -663,4 +801,6 @@ def validate_pair(outer: ParametricCurve, inner: ParametricCurve,
     if (2.0 * dmin <= min(l_outer, l_inner) * (1.0 + 1e-9)
             and _segments_intersect(_segments(pts_outer), _segments(pts_inner))):
         raise GeometryError("interface and buried boundary polylines intersect")
+    if n_check == VALIDATION_GRID:
+        _pair_memo(outer, inner).separation = dmin
     return dmin

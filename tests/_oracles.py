@@ -4,8 +4,10 @@ The references avoid the numerics they check: extended-precision
 ascending series (mpmath) for the cylinder functions, scipy.special for
 circle-operator eigenvalues, brute-force quadrature where a reference
 integral is needed, all-pairs polyline distance, crossing and
-containment tests for the geometry safeguard, a loop over Fourier modes
-for starlike radii, the direct Jacobian path (one solve per
+containment tests for the geometry safeguard, a cosine and a sine per
+Fourier mode for starlike radii, node-map densities and the radial
+normal components, a one-candidate-at-a-time Newton loop for the
+closest approaches of a curve pair, the direct Jacobian path (one solve per
 derivative problem) for the far-field-rows Jacobian, the Dirichlet
 kernel for the cross-block decimation, and a Newton loop at one fixed
 resolution for the resolution ladder.  The Hankel,
@@ -128,6 +130,79 @@ def starlike_radius_derivatives(coeffs, theta):
         rp += l * (-ac * s + as_ * c)
         rpp += l * l * (-ac * c - as_ * s)
     return r, rp, rpp
+
+
+def node_map_density(node_map, t):
+    """(int_0^t rho, rho, rho') of a ``NodeMap``, with a cosine and a
+    sine per (point, mode) for the trigonometric base."""
+    t = np.asarray(t, dtype=float)
+    m = np.arange(1, node_map.base_cos.size)
+    mt = np.multiply.outer(t, m)
+    c, sn = np.cos(mt), np.sin(mt)
+    a, b = node_map.base_cos[1:], node_map.base_sin
+    integral = node_map.base_cos[0] * t + sn @ (a / m) - (c - 1.0) @ (b / m)
+    rho = node_map.base_cos[0] + c @ a + sn @ b
+    drho = sn @ (-m * a) + c @ (m * b)
+    for c0, eta, w in zip(node_map.centers, node_map.widths, node_map.weights):
+        r = np.exp(-eta)
+        u = t - c0
+        den = 1.0 - 2.0 * r * np.cos(u) + r * r
+        half = 0.5 * w * eta
+        integral = integral + half * (
+            t + 2.0 * np.arctan(r * np.sin(u) / (1.0 - r * np.cos(u)))
+            + 2.0 * np.arctan(r * np.sin(c0) / (1.0 - r * np.cos(c0))))
+        rho = rho + half * (1.0 - r * r) / den
+        drho = drho - half * (1.0 - r * r) * 2.0 * r * np.sin(u) / den**2
+    return integral, rho, drho
+
+
+def radial_normal_component(grid, center, modes):
+    """``frechet.radial_normal_component`` with a cosine and a sine per
+    (node, mode)."""
+    r = np.linalg.norm(grid.x - np.asarray(center)[None, :], axis=1)
+    lt = np.outer(grid.t, np.arange(1, modes + 1))
+    basis = np.hstack([np.ones((grid.size, 1)), np.cos(lt), np.sin(lt)])
+    return basis * r[:, None] / grid.speed[:, None] * grid.dt[:, None]
+
+
+def closest_approaches(curve, other, dist):
+    """``geometry._closest_approaches`` one candidate at a time, with a
+    2x2 Newton solve per step on one-point curve evaluations."""
+    from layerscat.geometry import GRADING_OFF
+
+    m = dist.shape[0]
+    grid = 2.0 * np.pi * np.arange(m) / m
+    nearest = np.argmin(dist, axis=1)
+    d = dist[np.arange(m), nearest]
+    h = m // 32
+    cand = ((d <= np.roll(d, 1)) & (d <= np.roll(d, -1))
+            & (d < np.roll(d, h) - 1e-9) & (d < np.roll(d, -h) - 1e-9)
+            & (d < GRADING_OFF))
+    found = []
+    for j in np.flatnonzero(cand):
+        t, tau = grid[j], grid[nearest[j]]
+        for _ in range(20):
+            x, dx, ddx = (v[0] for v in curve.evaluate(np.array([t])))
+            y, dy, ddy = (v[0] for v in other.evaluate(np.array([tau])))
+            r = x - y
+            grad = np.array([r @ dx, -(r @ dy)])
+            hess = np.array([[dx @ dx + r @ ddx, -(dx @ dy)],
+                             [-(dx @ dy), dy @ dy - r @ ddy]])
+            if np.linalg.det(hess) <= 0.0 or hess[0, 0] <= 0.0:
+                break
+            step = np.linalg.solve(hess, grad)
+            if np.max(np.abs(step)) > 4.0 * np.pi / m:
+                break
+            t, tau = t - step[0], tau - step[1]
+            if np.max(np.abs(step)) < 1e-13:
+                break
+        x, dx, _ = (v[0] for v in curve.evaluate(np.array([t])))
+        dval = float(np.linalg.norm(x - other.point(np.array([tau]))[0]))
+        t = float(np.mod(t, 2.0 * np.pi))
+        if dval < GRADING_OFF and all(
+                abs(np.angle(np.exp(1j * (t - f[0])))) > 1e-6 for f in found):
+            found.append((t, dval, float(np.linalg.norm(dx))))
+    return found
 
 
 def polylines_cross(p, q):

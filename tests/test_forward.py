@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import layerscat.forward as forward
-from layerscat.errors import ConfigurationError
-from layerscat.forward import (BoundaryData, MediumParams, assemble_system,
-                               observation_directions,
+from layerscat.errors import ConfigurationError, SolverError
+from layerscat.forward import (BoundaryData, MediumParams, TransmissionSystem,
+                               assemble_system, observation_directions,
                                oracle_concentric_circles, plane_wave_data,
                                solve_plane_wave)
 from layerscat.geometry import ParametricCurve, StarlikeShape, discretize
@@ -39,6 +39,25 @@ def test_medium_params_create():
         MediumParams.create(k0=2.0, n1=0.64, lambda0=1.2, lambda1=-1.0 + 1e-9)
     with pytest.raises(ConfigurationError):
         MediumParams.create(k0=-1.0, n1=0.64, lambda0=1.2, lambda1=1.0)
+
+
+@pytest.mark.parametrize("lambda1", [2.0, 1e6])  # plain and equilibrated LU
+@pytest.mark.parametrize("block", [0, 2])  # a psi1 and a psi3 column
+def test_singular_system_raises_solver_error(monkeypatch, block, lambda1):
+    # LAPACK only warns on an exact zero pivot; the system must fail typed
+    assemble = TransmissionSystem._assemble
+
+    def zero_column(self):
+        assemble(self)
+        self.matrix[:, block * self.grid0.size] = 0.0
+
+    monkeypatch.setattr(TransmissionSystem, "_assemble", zero_column)
+    g0 = discretize(ParametricCurve.preset("rounded_triangle"), 8)
+    g1 = discretize(ParametricCurve.preset("apple"), 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="singular"):
+            assemble_system(g0, g1, _params(lambda1=lambda1))
 
 
 def test_system_size_and_lambda1_one_block():

@@ -2,8 +2,12 @@
 finite-difference oracle and against one direct solve per derivative
 problem."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerscat import forward
 from layerscat.errors import DomainError, SolverError
@@ -16,7 +20,8 @@ from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
                                 discretize_pair)
 from layerscat.inverse import ShapeState, SolverConfig, finite_difference_check
 
-from _oracles import direct_derivative_far_field
+from _oracles import (direct_derivative_far_field,
+                      radial_normal_component as radial_normal_oracle)
 
 
 def test_surface_divergence_on_circles():
@@ -41,6 +46,26 @@ def test_radial_normal_component_on_circle():
         else:
             expected = np.sin((idx - modes) * g.t)
         assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([0, 1, 25]), st.integers(8, 64), st.booleans(),
+       st.integers(-2, 2))
+def test_radial_normal_component_matches_mode_sums(modes, n, graded, turns):
+    # graded nodes of the kite/square pair and equispaced ones, the
+    # parameter shifted by whole periods
+    pair = ((ParametricCurve.preset("rounded_square"),
+             ParametricCurve.preset("kite")) if graded
+            else (ParametricCurve.preset("rounded_triangle"),
+                  ParametricCurve.preset("apple")))
+    for grid in discretize_pair(*pair, n):
+        if turns:
+            grid = replace(grid, t=grid.t + 2.0 * np.pi * turns)
+        center = (0.1, -0.2)
+        got = radial_normal_component(grid, center, modes)
+        ref = radial_normal_oracle(grid, center, modes)
+        assert got.shape == ref.shape == (grid.size, 2 * modes + 1)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_center_shift_normal_component():

@@ -1,22 +1,33 @@
-"""Curve evaluation, discretization, spectral differentiation, and the
-geometry validity checks."""
+"""Curve evaluation, discretization, spectral differentiation, the
+geometry validity checks, closest approaches, and the one-pair memo of
+the pair analysis."""
 
 import collections
+import functools
+import gc
+import json
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layerscat import geometry
 from layerscat.errors import ConfigurationError, GeometryError
-from layerscat.geometry import (CONTAINMENT_MARGIN, VALIDATION_GRID,
+from layerscat.geometry import (CONTAINMENT_MARGIN, GRADING_OFF,
+                                GRADING_SAMPLES, VALIDATION_GRID, NodeMap,
                                 ParametricCurve, StarlikeShape, curve_is_simple,
                                 discretize, discretize_pair,
                                 spectral_derivative, validate_pair)
-from layerscat.geometry import _points_in_polygon, _polyline_separation
+from layerscat.geometry import (_closest_approaches, _graded_node_maps,
+                                _pair_node_maps, _points_in_polygon,
+                                _points_in_star, _polyline_separation)
 
-from _oracles import (min_point_polyline_distance, points_in_polygon,
-                      polylines_cross, starlike_radius_derivatives)
+from _oracles import (closest_approaches, min_point_polyline_distance,
+                      node_map_density, points_in_polygon, polylines_cross,
+                      starlike_radius_derivatives)
 
 PRESETS = ("apple", "kite", "rounded_square", "rounded_triangle")
 
@@ -337,3 +348,262 @@ def test_pair_checks_match_all_pairs_oracle(n_check):
     if n_check == 24:
         # the margin is below L_max / 2, so the crossing test runs
         assert seen["intersect"] >= 1 and fallback_accepts >= 1, seen
+
+
+# ---------------------------------------------------------------------------
+# The trig-polynomial evaluator against per-mode sums
+# ---------------------------------------------------------------------------
+ITERATES = json.loads((Path(__file__).parent / "data"
+                       / "hard_kite_iterates.json").read_text())["iterates"]
+
+
+def _iterate_pair(m):
+    """The curve pair of gate 6's Newton iterate m (tests/data)."""
+    it = next(i for i in ITERATES if i["m"] == m)
+    return (ParametricCurve.starlike(StarlikeShape((0.0, 0.0), it["r0_coeffs"])),
+            ParametricCurve.starlike(StarlikeShape(it["center1"],
+                                                   it["r1_coeffs"])))
+
+
+@functools.lru_cache(maxsize=None)
+def _graded_nodes():
+    """Node parameters of both graded grids of the kite/square pair."""
+    g0, g1 = discretize_pair(ParametricCurve.preset("rounded_square"),
+                             ParametricCurve.preset("kite"), 64)
+    return np.concatenate([g0.t, g1.t])
+
+
+def _angles(rng, periods):
+    """Graded node values shifted by ``periods`` turns, and uniform
+    angles over several periods."""
+    return np.concatenate([_graded_nodes() + 2.0 * np.pi * periods,
+                           rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 200)])
+
+
+def _assert_close(got, ref, rtol=1e-13):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([0, 1, 25]), st.integers(0, 2**32 - 1),
+       st.integers(-2, 2))
+def test_radius_derivatives_match_mode_sums(modes, seed, periods):
+    rng = np.random.default_rng(seed)
+    l = np.tile(np.arange(1, modes + 1), 2)
+    coeffs = np.concatenate([[rng.uniform(0.5, 3.0)],
+                             rng.standard_normal(2 * modes) / l])
+    shape = StarlikeShape(rng.uniform(-1.0, 1.0, 2), coeffs)
+    theta = _angles(rng, periods)
+    got = shape.radius_derivatives(theta)
+    for g, r in zip(got, starlike_radius_derivatives(coeffs, theta)):
+        _assert_close(g, r)
+    assert np.array_equal(shape.radius(theta), got[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([0, 1, 25]), st.integers(0, 3),
+       st.integers(0, 2**32 - 1), st.integers(-2, 2))
+def test_node_map_density_matches_mode_sums(modes, bumps, seed, periods):
+    rng = np.random.default_rng(seed)
+    base = 0.3 * rng.standard_normal(2 * modes) / np.tile(
+        np.arange(1, modes + 1), 2)
+    node_map = NodeMap(np.concatenate([[1.0], base[:modes]]), base[modes:],
+                       rng.uniform(0.0, 2.0 * np.pi, bumps),
+                       rng.uniform(0.02, 1.0, bumps),
+                       rng.uniform(0.0, 2.0, bumps))
+    t = _angles(rng, periods)
+    for g, r in zip(node_map.density(t), node_map_density(node_map, t)):
+        _assert_close(g, r)
+    assert node_map.density(np.zeros(3))[0].tolist() == [0.0] * 3
+
+
+def test_points_in_star_matches_ray_casting():
+    # random points, and points on the rays through the vertices (sector
+    # borders) away from the vertices themselves
+    rng = np.random.default_rng(5)
+    for n_check in (VALIDATION_GRID, 24):
+        t = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
+        for _ in range(20):
+            outer, _ = _random_pair(rng)
+            center = rng.uniform(-0.2, 0.2, 2)
+            shape = StarlikeShape(center, outer.shape.coeffs)
+            r = shape.radius(t)
+            poly = center + r[:, None] * np.stack([np.cos(t), np.sin(t)], -1)
+            pts = rng.uniform(-3.0, 3.0, (600, 2))
+            scale = rng.choice([0.5, 0.9, 1.1, 2.0], n_check)
+            pts[:n_check] = center + (scale * r)[:, None] * np.stack(
+                [np.cos(t), np.sin(t)], -1)
+            assert np.array_equal(_points_in_star(pts, center, poly),
+                                  points_in_polygon(pts, poly))
+
+
+# ---------------------------------------------------------------------------
+# Closest approaches against the one-candidate-at-a-time Newton loop
+# ---------------------------------------------------------------------------
+def _sample_distances(outer, inner):
+    grid = 2.0 * np.pi * np.arange(GRADING_SAMPLES) / GRADING_SAMPLES
+    p, q = outer.point(grid), inner.point(grid)
+    return np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
+
+
+CLOSE_PAIRS = {
+    "kite/rounded_square": lambda: (ParametricCurve.preset("rounded_square"),
+                                    ParametricCurve.preset("kite")),
+    "apple/rounded_triangle": lambda: (
+        ParametricCurve.preset("rounded_triangle"),
+        ParametricCurve.preset("apple")),
+    **{f"iterate {m}": functools.partial(_iterate_pair, m)
+       for m in (0, 12, 21, 30)},
+    # samples of the outer circle away from the closest approach start
+    # searches whose Newton steps exceed the 4 pi / m limit
+    "offset circles": lambda: _offset_circles(1.6, 0.3),
+}
+
+
+def _offset_circles(radius, shift):
+    return (ParametricCurve.starlike(StarlikeShape((0.0, 0.0), [2.0])),
+            ParametricCurve.starlike(StarlikeShape((shift, 0.0), [radius])))
+
+
+def _tied(dist):
+    """``dist`` with the next row's minimum lowered to the smallest
+    sampled distance: two neighbouring samples then start searches that
+    end at the same closest approach."""
+    dist = dist.copy()
+    rows = np.min(dist, axis=1)
+    j = int(np.argmin(rows))
+    k = (j + 1) % dist.shape[0]
+    dist[k, np.argmin(dist[k])] = rows[j]
+    return dist
+
+
+@pytest.mark.parametrize("tie", [False, True])
+@pytest.mark.parametrize("name", CLOSE_PAIRS)
+def test_closest_approaches_match_scalar_newton(name, tie):
+    outer, inner = CLOSE_PAIRS[name]()
+    dist = _sample_distances(outer, inner)
+    tables = (_tied(dist), _tied(dist.T)) if tie else (dist, dist.T)
+    for (curve, other), d in zip(((outer, inner), (inner, outer)), tables):
+        got = _closest_approaches(curve, other, d)
+        ref = closest_approaches(curve, other, d)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(np.subtract(g, r))) <= 1e-12, (g, r)
+
+
+# ---------------------------------------------------------------------------
+# One pair analysis per curve pair
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Count the distance-table builds (full pair analyses) from a
+    cleared memo."""
+    calls = []
+
+    def counted(outer, inner):
+        calls.append(None)  # holds no curve, so retention stays visible
+        return _graded_node_maps(outer, inner)
+
+    monkeypatch.setattr(geometry, "_graded_node_maps", counted)
+    monkeypatch.setattr(geometry, "_last_pair", None)
+    return calls
+
+
+def test_same_shapes_hit_the_memo_and_new_shapes_miss(table_builds):
+    outer, inner = _iterate_pair(30)
+    maps = _pair_node_maps(outer, inner)
+    assert len(table_builds) == 1 and maps[0] is not None
+    # new ParametricCurve wrappers of the same shapes, as ShapeState.curves
+    # builds them for every solve
+    again = _pair_node_maps(ParametricCurve.starlike(outer.shape),
+                            ParametricCurve.starlike(inner.shape))
+    assert len(table_builds) == 1
+    assert again[0] is maps[0] and again[1] is maps[1]
+    # an equal but new shape is a new curve pair
+    copy = StarlikeShape(inner.shape.center, inner.shape.coeffs)
+    fresh = _pair_node_maps(outer, ParametricCurve.starlike(copy))
+    assert len(table_builds) == 2 and fresh[1] is not maps[1]
+    assert np.array_equal(fresh[1].weights, maps[1].weights)
+    # presets are keyed by the curve object
+    square, kite = (ParametricCurve.preset("rounded_square"),
+                    ParametricCurve.preset("kite"))
+    _pair_node_maps(square, kite)
+    _pair_node_maps(square, kite)
+    assert len(table_builds) == 3
+    _pair_node_maps(square, ParametricCurve.preset("kite"))
+    assert len(table_builds) == 4
+
+
+def test_memo_retains_at_most_one_pair(table_builds):
+    outer, inner = _iterate_pair(21)
+    alive = weakref.ref(inner.shape)
+    validate_pair(outer, inner)
+    _pair_node_maps(outer, inner)
+    other = _iterate_pair(30)
+    _pair_node_maps(*other)
+    assert all(a is b for a, b in zip(geometry._last_pair.key,
+                                      (other[0].shape, other[1].shape)))
+    del outer, inner
+    gc.collect()
+    assert alive() is None
+    # a rejected pair leaves the slot alone
+    bad = ParametricCurve.starlike(StarlikeShape((0.0, 0.0), [0.3, 0.4, 0.0]))
+    with pytest.raises(GeometryError):
+        validate_pair(other[0], bad)
+    assert all(a is b for a, b in zip(geometry._last_pair.key,
+                                      (other[0].shape, other[1].shape)))
+
+
+@pytest.mark.parametrize("offset,skipped", [(0.51, False), (0.49, True)])
+def test_separation_skip_matches_full_analysis(table_builds, offset, skipped):
+    # a circle of radius 1 shifted by ``offset`` inside a circle of radius
+    # 2 with a small wobble: separation about 2 - 1 - offset
+    coeffs = np.zeros(51)
+    coeffs[0], coeffs[3], coeffs[28] = 2.0, 0.002, -0.001
+    outer = ParametricCurve.starlike(StarlikeShape((0.0, 0.0), coeffs))
+    inner = ParametricCurve.starlike(StarlikeShape((offset, 0.0), [1.0]))
+    separation = validate_pair(outer, inner)
+    assert abs(separation - (1.0 - offset)) < 5e-3
+    assert (separation >= GRADING_OFF) == skipped
+    maps = _pair_node_maps(outer, inner)
+    assert len(table_builds) == (0 if skipped else 1)
+    full = _graded_node_maps(outer, inner)
+    assert (maps == (None, None)) == (full == (None, None)) == skipped
+    for got, ref in zip(maps, full):
+        if ref is not None:
+            for name in ("base_cos", "base_sin", "centers", "widths",
+                         "weights"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+def test_one_table_build_per_newton_iterate(table_builds, monkeypatch):
+    # gate 6's setup from its iterate 21 (separation 0.42, graded), cut
+    # to two steps on a ladder with a resolution check at the start
+    from layerscat.data_io import synthesize
+    from layerscat.inverse import (ShapeState, SolverConfig,
+                                   newton_iteration)
+
+    pair_calls = []
+    discretize_pair = geometry.discretize_pair
+
+    def counted(outer, inner, n):
+        pair_calls.append(n)
+        return discretize_pair(outer, inner, n)
+
+    config = SolverConfig(frequencies=(1.0,), num_incident=3,
+                          max_iterations=2, n_synth=64)
+    dataset = synthesize(ParametricCurve.preset("rounded_square"),
+                         ParametricCurve.preset("kite"), 1e-6, config)
+    table_builds.clear()
+    import layerscat.forward as forward
+    monkeypatch.setattr(forward, "discretize_pair", counted)
+    it = next(i for i in ITERATES if i["m"] == 21)
+    state = ShapeState(StarlikeShape((0.0, 0.0), it["r0_coeffs"]),
+                       StarlikeShape(it["center1"], it["r1_coeffs"]),
+                       lambda1=1e-3, tau1=1e3)
+    state.validate_geometry()
+    _, records = newton_iteration(state, dataset.values[0], 1.0, config)
+    assert records[0].resolution_estimate is not None  # the ladder ran
+    assert len(pair_calls) > len(records)
+    assert 1 <= len(table_builds) <= len(records)
