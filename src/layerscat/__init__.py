@@ -8,8 +8,8 @@ multi-frequency far-field data.
 """
 
 from .errors import (ConfigurationError, DataFormatError, DomainError,
-                     GeometryError, LayerscatError, SingularityError,
-                     SolverError, StageAbortError)
+                     GeometryError, LayerscatError, SolverError,
+                     StageAbortError)
 from .forward import (BoundaryData, BoundaryTraces, DensityVector,
                       MediumParams, TransmissionSystem, assemble_system,
                       observation_directions, oracle_concentric_circles,
@@ -19,7 +19,7 @@ from .geometry import (DiscretizedBoundary, NodeMap, ParametricCurve,
                        spectral_derivative, validate_pair)
 from .inverse import (IterationRecord, ReconstructionTrace, ShapeState,
                       SolverConfig, classify_boundary, choose_beta,
-                      finite_difference_check, hs_norm_sq, lm_step,
+                      finite_difference_check, lm_step,
                       multi_frequency_drive, newton_iteration, relative_error)
 
 __version__ = "0.1.0"

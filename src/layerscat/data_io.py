@@ -221,13 +221,6 @@ def read_dataset(path) -> Dataset:
 # ---------------------------------------------------------------------------
 # Config JSON
 # ---------------------------------------------------------------------------
-def write_config(config: SolverConfig, path):
-    doc = dataclasses.asdict(config)
-    doc["frequencies"] = list(config.frequencies)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8",
-                          newline="\n")
-
-
 def read_config(path) -> SolverConfig:
     """Load a config document; every SolverConfig key is required and
     unknown keys are rejected."""

@@ -18,10 +18,6 @@ class DomainError(LayerscatError):
     """Argument outside a function's mathematical domain."""
 
 
-class SingularityError(DomainError):
-    """Kernel evaluated at (numerically) coincident points."""
-
-
 class SolverError(LayerscatError):
     """Linear or mode system singular to working precision, or the solved
     residual fails its tolerance."""

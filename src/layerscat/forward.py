@@ -4,9 +4,11 @@ The scattered/total field is represented by combined single- and
 double-layer potentials on both boundaries with densities
 psi = (psi1, psi2, psi3, psi4); the jump relations turn the transmission
 conditions into a 4x4 block system (I + A) psi = R that is assembled
-densely and LU-factored once per geometry.  The factorization serves
-every incident direction, and, solved transposed, the far-field rows
-that the Jacobian needs.
+densely and LU-factored once per geometry.  The matrix is built in C
+order, which is LAPACK's layout of its transpose, so the LU is taken of
+(I + A)^T with no transposing copy.  The factorization serves every
+incident direction (solved transposed) and the far-field rows that the
+Jacobian needs (solved plainly).
 
 The S/K/KT/T operator blocks depend on the grids and the wavenumbers
 only; lambda1 enters just their scalar combination and the LU.  The
@@ -274,9 +276,9 @@ class TransmissionSystem:
         if abs(self.params.lambda1) > EQUILIBRATE_THRESHOLD:
             col = np.max(np.abs(m), axis=0)
             col[col == 0.0] = 1.0
-            # a private copy in LAPACK's (Fortran) layout, scaled and then
-            # factored in place; self.matrix stays intact for the residuals
-            work = np.divide(m, col[None, :], order="F")
+            # a private scaled copy, factored in place; self.matrix stays
+            # intact for the residuals
+            work = m / col[None, :]
             row = np.max(np.abs(work), axis=1)
             row[row == 0.0] = 1.0
             work /= row[:, None]
@@ -286,23 +288,25 @@ class TransmissionSystem:
             self._col_scale = np.ones(n)
             self._row_scale = np.ones(n)
             work = m
-        # an exact zero pivot only warns and leaves U singular, so U's
-        # diagonal is checked instead
+        # the C-order matrix is the Fortran layout of its transpose, so
+        # LAPACK factors work^T with no transposing copy; solves with
+        # work then take trans=1.  An exact zero pivot only warns and
+        # leaves U singular, so U's diagonal is checked instead
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sla.LinAlgWarning)
-            self._lu = sla.lu_factor(work, overwrite_a=work is not m)
+            self._lu = sla.lu_factor(work.T, overwrite_a=work is not m)
         zero = np.flatnonzero(np.diagonal(self._lu[0]) == 0.0)
         if zero.size:
             raise SolverError(
                 f"transmission system singular: zero pivot in column {zero[0]}")
 
     def _raw_solve(self, rhs):
-        y = sla.lu_solve(self._lu, rhs / self._row_scale[:, None])
+        y = sla.lu_solve(self._lu, rhs / self._row_scale[:, None], trans=1)
         return y / self._col_scale[:, None]
 
     def _raw_solve_transposed(self, rhs):
         # (I+A) = D_r S D_c, so (I+A)^T y = g is S^T (D_r y) = g / D_c
-        y = sla.lu_solve(self._lu, rhs / self._col_scale[:, None], trans=1)
+        y = sla.lu_solve(self._lu, rhs / self._col_scale[:, None])
         return y / self._row_scale[:, None]
 
     def _refined(self, b, raw_solve, matvec, weight=None):

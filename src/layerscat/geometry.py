@@ -24,6 +24,7 @@ validated at least GRADING_OFF apart skips the grading analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,9 @@ def _readonly(a):
     arr = np.array(a, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+_GUESS_T = _readonly(np.linspace(0.0, 2.0 * np.pi, 257))
 
 
 def _harmonics(theta, m):
@@ -267,6 +271,12 @@ class NodeMap:
     widths: np.ndarray
     weights: np.ndarray
 
+    @cached_property
+    def _guess(self):
+        """int_0^t rho on _GUESS_T: the first-guess table of ``evaluate``,
+        built once per map."""
+        return _readonly(self.density(_GUESS_T)[0])
+
     @property
     def total(self) -> float:
         """int_0^2pi rho."""
@@ -310,8 +320,7 @@ class NodeMap:
         period = np.floor(s / (2.0 * np.pi))
         scale = self.total / (2.0 * np.pi)
         target = (s - 2.0 * np.pi * period) * scale
-        table = np.linspace(0.0, 2.0 * np.pi, 257)
-        t = np.interp(target, self.density(table)[0], table)
+        t = np.interp(target, self._guess, _GUESS_T)
         lo = np.zeros_like(target)
         hi = np.full_like(target, 2.0 * np.pi)
         for _ in range(100):

@@ -174,17 +174,6 @@ class ReconstructionTrace:
 # ---------------------------------------------------------------------------
 # Norms and the regularized step
 # ---------------------------------------------------------------------------
-def hs_norm_sq(coeffs, s: float) -> float:
-    """Squared H^s norm of a trig polynomial in the coefficient layout
-    (a0, cos block, sin block): 2 pi a0^2 + pi sum (1+l^2)^s (a_l^2+a_{l+M}^2)."""
-    c = np.asarray(coeffs, dtype=float)
-    m = (c.size - 1) // 2
-    l = np.arange(1, m + 1)
-    w = (1.0 + l**2) ** s
-    return float(2.0 * np.pi * c[0]**2
-                 + np.pi * np.sum(w * (c[1:m + 1]**2 + c[m + 1:]**2)))
-
-
 def discrete_l2_sq(values) -> float:
     """Discrete L^2(S^1) norm squared: (2 pi / n) sum |f_i|^2."""
     v = np.asarray(values)

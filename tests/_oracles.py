@@ -9,23 +9,55 @@ Fourier mode for starlike radii, node-map densities and the radial
 normal components, a one-candidate-at-a-time Newton loop for the
 closest approaches of a curve pair, the direct Jacobian path (one solve per
 derivative problem) for the far-field-rows Jacobian, the Dirichlet
-kernel for the cross-block decimation, and a Newton loop at one fixed
+kernel for the cross-block decimation, the cross-curve blocks at one
+fixed oversampling for every pair, and a Newton loop at one fixed
 resolution for the resolution ladder.  The Hankel,
 fundamental-solution, potential and trapezoid helpers are built on the
-package's Bessel functions and grids; only the tests use them.
+package's Bessel functions and grids, and the H^s norm and the config
+writer on its coefficient layout and config fields; only the tests use
+them.
 """
+
+import dataclasses
+import functools
+import json
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 from scipy import special as ssp
 
-from layerscat.errors import (ConfigurationError, DomainError,
-                              SingularityError, SolverError)
+from layerscat.errors import ConfigurationError, DomainError, SolverError
 from layerscat.forward import DensityVector
 from layerscat.frechet import derivative_boundary_data
+from layerscat.geometry import discretize
 from layerscat.specfun import bessel_j0j1y0y1
 
 mp.mp.dps = 50
+
+
+class SingularityError(DomainError):
+    """Kernel evaluated at (numerically) coincident points."""
+
+
+def hs_norm_sq(coeffs, s: float) -> float:
+    """Squared H^s norm of a trig polynomial in the coefficient layout
+    (a0, cos block, sin block): 2 pi a0^2 + pi sum (1+l^2)^s (a_l^2+a_{l+M}^2)."""
+    c = np.asarray(coeffs, dtype=float)
+    m = (c.size - 1) // 2
+    l = np.arange(1, m + 1)
+    w = (1.0 + l**2) ** s
+    return float(2.0 * np.pi * c[0]**2
+                 + np.pi * np.sum(w * (c[1:m + 1]**2 + c[m + 1:]**2)))
+
+
+def write_config(config, path):
+    """Write a ``SolverConfig`` as the config JSON that ``read_config``
+    loads."""
+    doc = dataclasses.asdict(config)
+    doc["frequencies"] = list(config.frequencies)
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8",
+                          newline="\n")
 
 
 def series_j0j1y0y1(x: float):
@@ -298,18 +330,46 @@ def trapezoid(values):
     return (np.pi / (m2 // 2)) * np.sum(v, axis=-1)
 
 
+@functools.lru_cache(maxsize=8)
 def trig_interpolation_matrix(n, q):
     """Values at the 2nq fine nodes of the trigonometric interpolant of
     values at the 2n nodes pi j / n, from the Dirichlet kernel summed
     mode by mode (the Nyquist mode as a cosine split evenly between
-    +-n).  Shape (2nq, 2n)."""
+    +-n).  Shape (2nq, 2n); cached per (n, q), read-only."""
     t = np.pi * np.arange(2 * n * q) / (n * q)
     s = np.pi * np.arange(2 * n) / n
     d = t[:, None] - s[None, :]
     mat = 1.0 + np.cos(n * d)
     for m in range(1, n):
         mat += 2.0 * np.cos(m * d)
-    return mat / (2 * n)
+    mat /= 2 * n
+    mat.setflags(write=False)
+    return mat
+
+
+def cross_blocks_fixed_q(target, source, k, q=4):
+    """{kind: block} of the S/K/KT/T cross-curve blocks by the trapezoid
+    rule on a q-times oversampled source grid (carrying the source's node
+    map), folded back onto the 2n source nodes with the transposed
+    interpolation matrix: one fixed q for every pair, as the operators
+    were assembled before q was chosen per block."""
+    fine = discretize(source.curve, source.n * q, source.node_map)
+    diff = target.x[:, None, :] - fine.x[None, :, :]
+    r = np.sqrt(np.sum(diff * diff, axis=-1))
+    h0, h1 = hankel1_01(k * r)
+    p_tgt = np.sum(diff * target.normal[:, None, :], axis=-1) / r
+    p_src = np.sum(diff * fine.normal[None, :, :], axis=-1) / r
+    nu_dot = target.normal @ fine.normal.T
+    kernels = {
+        "S": 0.25j * h0,
+        "K": 0.25j * k * h1 * p_src,
+        "KT": -0.25j * k * h1 * p_tgt,
+        "T": 0.25j * k * (k * h0 * p_tgt * p_src
+                          + h1 * (nu_dot - 2.0 * p_tgt * p_src) / r),
+    }
+    fold = trig_interpolation_matrix(source.n, q)
+    w = (np.pi / fine.n) * fine.speed
+    return {kind: (kern * w) @ fold for kind, kern in kernels.items()}
 
 
 def fixed_resolution_newton(state, data, k0, config):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from layerscat.cli import main
-from layerscat.data_io import read_dataset, read_trace, write_config
+from layerscat.data_io import read_dataset, read_trace
 from layerscat.inverse import SolverConfig
+
+from _oracles import write_config
 
 
 @pytest.fixture()

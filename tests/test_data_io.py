@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 
 from layerscat.data_io import (Dataset, add_noise, read_config, read_dataset,
                                read_trace, splitmix64, standard_normals,
-                               synthesize, write_config, write_curve_csv,
-                               write_dataset, write_trace)
+                               synthesize, write_curve_csv, write_dataset,
+                               write_trace)
 from layerscat.errors import ConfigurationError, DataFormatError
 from layerscat.forward import MediumParams, observation_directions, \
     oracle_concentric_circles
 from layerscat.geometry import ParametricCurve
 from layerscat.inverse import (ReconstructionTrace, IterationRecord,
                                SolverConfig, discrete_l2_sq)
+
+from _oracles import write_config
 
 
 def _small_config(**kw):

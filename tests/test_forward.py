@@ -60,6 +60,40 @@ def test_singular_system_raises_solver_error(monkeypatch, block, lambda1):
             assemble_system(g0, g1, _params(lambda1=lambda1))
 
 
+@pytest.mark.parametrize("lambda1,equilibrated", [(2.0, False), (1e6, True)])
+def test_solves_match_dense_solve_of_the_system_and_its_transpose(
+        lambda1, equilibrated):
+    # the LU is taken of the transpose: solve_stacked uses it transposed
+    # and far_field_rows plainly, with and without equilibration.  The
+    # references are dense solves of D_r^-1 (I+A) D_c^-1 with the system's
+    # scales (identities without equilibration); at lambda1 = 1e6 a dense
+    # solve of the unscaled matrix is itself off by 4e-11
+    g0 = discretize(ParametricCurve.preset("rounded_triangle"), 24)
+    g1 = discretize(ParametricCurve.preset("apple"), 20)
+    system = assemble_system(g0, g1, _params(k0=3.0, lambda1=lambda1))
+    col, row = system._col_scale, system._row_scale
+    assert np.any(col != 1.0) == equilibrated
+    scaled = system.matrix / row[:, None] / col[None, :]
+    rng = np.random.default_rng(3)
+    size = system.matrix.shape[0]
+    # data on the interface only, as plane waves give; random data on the
+    # buried curve trip the residual check at lambda1 = 1e6 with either LU
+    rhs = np.zeros((size, 4), dtype=complex)
+    rhs[:2 * g0.size] = (rng.standard_normal((2 * g0.size, 4))
+                         + 1j * rng.standard_normal((2 * g0.size, 4)))
+    ref = np.linalg.solve(scaled, rhs / row[:, None]) / col[:, None]
+    got = system.solve_stacked(rhs)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    obs = observation_directions(16)
+    s_mat, k_mat = system.farfield_maps(obs)
+    g = np.zeros((size, obs.shape[0]), dtype=complex)
+    g[:g0.size] = system.params.lambda0 * k_mat.T
+    g[g0.size:2 * g0.size] = s_mat.T
+    ref_rows = (np.linalg.solve(scaled.T, g / col[:, None]) / row[:, None]).T
+    rows = system.far_field_rows(obs)
+    assert np.max(np.abs(rows - ref_rows)) <= 1e-12 * np.max(np.abs(ref_rows))
+
+
 def test_system_size_and_lambda1_one_block():
     g0 = discretize(ParametricCurve.preset("circle", radius=2.0), 32)
     g1 = discretize(ParametricCurve.preset("circle", radius=1.0), 32)

@@ -418,6 +418,41 @@ def test_node_map_density_matches_mode_sums(modes, bumps, seed, periods):
     assert node_map.density(np.zeros(3))[0].tolist() == [0.0] * 3
 
 
+def test_node_map_first_guess_table_is_built_once(monkeypatch):
+    # only a map's first evaluate builds the 257-point table, one density
+    # call on the 257 points
+    maps = discretize_pair(ParametricCurve.preset("rounded_square"),
+                           ParametricCurve.preset("kite"), 32)
+    maps = [g.node_map for g in maps]
+    fresh = [NodeMap(m.base_cos, m.base_sin, m.centers, m.widths, m.weights)
+             for m in maps]
+    calls = []
+    density = NodeMap.density
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return density(self, t)
+
+    monkeypatch.setattr(NodeMap, "density", counted)
+    s = np.pi * np.arange(256) / 64
+    for node_map in fresh:
+        calls.clear()
+        first = node_map.evaluate(s)
+        assert calls.count(257) == 1
+        per_first = len(calls)
+        calls.clear()
+        second = node_map.evaluate(s)
+        assert 257 not in calls and len(calls) == per_first - 1
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+        table = np.linspace(0.0, 2.0 * np.pi, 257)
+        assert np.array_equal(node_map._guess, density(node_map, table)[0])
+    # an already used map gives the values of a fresh copy, bit for bit
+    for used, new in zip(maps, fresh):
+        for a, b in zip(used.evaluate(s + 0.1), new.evaluate(s + 0.1)):
+            assert np.array_equal(a, b)
+
+
 def test_points_in_star_matches_ray_casting():
     # random points, and points on the rays through the vertices (sector
     # borders) away from the vertices themselves

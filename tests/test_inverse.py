@@ -13,11 +13,11 @@ from layerscat.forward import observation_directions, solve_plane_wave
 from layerscat.geometry import ParametricCurve, StarlikeShape
 from layerscat.inverse import (ShapeState, SolverConfig, apply_step,
                                choose_beta, classify_boundary, discrete_l2_sq,
-                               hs_norm_sq, lm_step, multi_frequency_drive,
+                               lm_step, multi_frequency_drive,
                                newton_iteration, penalty_weights,
                                relative_error, resolution_ladder)
 
-from _oracles import fixed_resolution_newton
+from _oracles import fixed_resolution_newton, hs_norm_sq
 
 
 def test_hs_norm_examples():

@@ -1,17 +1,27 @@
 """Operator blocks against circle eigenvalue oracles, brute-force
 references, and the jump relations."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import special as ssp
 
-from layerscat.geometry import ParametricCurve, discretize, discretize_pair
+import layerscat.forward as forward
+import layerscat.operators as operators
+from layerscat.forward import (MediumParams, assemble_system,
+                               observation_directions, plane_wave_data)
+from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
+                                discretize_pair)
 from layerscat.errors import SolverError
-from layerscat.operators import (_decimate, _log_4sin2, assemble_blocks,
+from layerscat.operators import (_cross_oversample, _decimate, _differences,
+                                 _log_4sin2, _PairData, assemble_blocks,
                                  assemble_farfield)
 
 from _oracles import (circle_double_layer_offset, circle_eigenvalues,
-                      evaluate_potential, trig_interpolation_matrix)
+                      cross_blocks_fixed_q, evaluate_potential, hankel1_01,
+                      trig_interpolation_matrix)
 
 
 @pytest.mark.parametrize("radius,k,n", [(1.0, 2.0, 32), (2.4, 2.0, 32),
@@ -217,3 +227,150 @@ def test_log_term_is_cached_and_exact():
     cached = _log_4sin2(16)
     assert np.array_equal(cached, direct)
     assert cached is _log_4sin2(16) and not cached.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Cross-curve oversampling chosen per block, against the fixed q = 4 oracle
+# ---------------------------------------------------------------------------
+ITERATES = {it["m"]: it for it in json.loads(
+    (Path(__file__).parent / "data" / "hard_kite_iterates.json").read_text())
+    ["iterates"]}
+
+
+def _curves(name):
+    """(outer, inner) curves of a named setup: two presets "outer/inner",
+    gate 5's and gate 6's initial circles, or gate 6's iterate "m<k>"."""
+    if name.startswith("m"):
+        it = ITERATES[int(name[1:])]
+        return (ParametricCurve.starlike(StarlikeShape((0.0, 0.0),
+                                                       it["r0_coeffs"])),
+                ParametricCurve.starlike(StarlikeShape(it["center1"],
+                                                       it["r1_coeffs"])))
+    if name == "init5":
+        return (ParametricCurve.starlike(StarlikeShape.circle(2.4)),
+                ParametricCurve.starlike(StarlikeShape.circle(0.5)))
+    if name == "init6":
+        return (ParametricCurve.starlike(StarlikeShape.circle(2.8)),
+                ParametricCurve.starlike(StarlikeShape.circle(1.0,
+                                                              (0.5, 0.0))))
+    outer, inner = name.split("/")
+    return ParametricCurve.preset(outer), ParametricCurve.preset(inner)
+
+
+TRI, SQUARE = "rounded_triangle/apple", "rounded_square/kite"
+# (setup, n, graded, k0): the rows of the per-block probe, both pairings of
+# the forward benchmark at n = 128, and the forward solves of gates 2, 5, 6
+CROSS_CASES = sorted(set(
+    [(TRI, 32, False, 8.0), (SQUARE, 64, True, 7.0), ("m12", 32, True, 1.0),
+     ("m21", 32, True, 1.0), ("m21", 64, True, 1.0), ("m30", 48, True, 1.0)]
+    + [(TRI, 128, False, k0) for k0 in (2.0, 4.0, 6.0, 8.0)]
+    + [(SQUARE, 128, False, k0) for k0 in (1.0, 3.0, 5.0, 7.0)]
+    + [(TRI, 64, True, k0) for k0 in (2.0, 4.0, 6.0, 8.0)]
+    + [(SQUARE, n, True, k0) for n in (64, 128) for k0 in (1.0, 3.0, 5.0, 7.0)]
+    + [("init5", n, True, 2.0) for n in (32, 48, 64)]
+    + [(name, n, True, 1.0) for name in ("init6", "m0", "m12", "m21", "m30")
+       for n in (32, 48, 64)]))
+
+
+def _far_fields(g0, g1, k0):
+    """Far fields (3 incident, 64 observation directions) at lambda1 =
+    1e-6 and 1e6 (plain and equilibrated LU) from fresh blocks."""
+    obs = observation_directions(64)
+    out = []
+    for lambda1 in (1e-6, 1e6):
+        forward._last_blocks = None
+        params = MediumParams.create(k0=k0, n1=0.64, lambda0=1.2,
+                                     lambda1=lambda1)
+        system = assemble_system(g0, g1, params)
+        dens = system.solve(plane_wave_data(g0, g1, k0,
+                                            observation_directions(3)))
+        out.append(system.far_field(dens, obs))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("setup,n,graded,k0", CROSS_CASES)
+def test_cross_blocks_match_fixed_q_oracle(monkeypatch, setup, n, graded, k0):
+    outer, inner = _curves(setup)
+    g0, g1 = (discretize_pair(outer, inner, n) if graded
+              else (discretize(outer, n), discretize(inner, n)))
+    assemble = forward.assemble_blocks
+    same_curve = {}  # assembled once, shared by both runs
+
+    def blocks(target, source, k, kinds=operators.BLOCK_KINDS):
+        if target is not source:
+            return assemble(target, source, k, kinds)
+        key = (id(target), k)
+        if key not in same_curve:
+            same_curve[key] = assemble(target, source, k, kinds)
+        return same_curve[key]
+
+    def oracle_blocks(target, source, k, kinds=operators.BLOCK_KINDS):
+        if target is source:
+            return blocks(target, source, k, kinds)
+        return cross_blocks_fixed_q(target, source, k)
+
+    monkeypatch.setattr(forward, "assemble_blocks", blocks)
+    got = _far_fields(g0, g1, k0)
+    monkeypatch.setattr(forward, "assemble_blocks", oracle_blocks)
+    ref = _far_fields(g0, g1, k0)
+    forward._last_blocks = None
+    err = (np.max(np.abs(got - ref), axis=(1, 2))
+           / np.max(np.abs(ref), axis=(1, 2)))
+    assert np.all(err <= 1e-12), err
+
+
+def test_plain_block_is_the_source_grid_trapezoid(monkeypatch):
+    # 2.4 / 0.5 circles are far apart for their spacing: q = 1 both ways,
+    # no fine grid and no folding
+    g0 = discretize(ParametricCurve.preset("circle", radius=2.4), 32)
+    g1 = discretize(ParametricCurve.preset("circle", radius=0.5), 32)
+    calls = []
+    monkeypatch.setattr(operators, "discretize",
+                        lambda *a: calls.append(a) or discretize(*a))
+    k = 1.6
+    for target, source in ((g0, g1), (g1, g0)):
+        assert _PairData(target, source, k).fine is source
+        blocks = assemble_blocks(target, source, k)
+        diff = target.x[:, None, :] - source.x[None, :, :]
+        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        h0, _ = hankel1_01(k * r)
+        trap = 0.25j * h0 * (np.pi / source.n) * source.speed[None, :]
+        assert (np.max(np.abs(blocks["S"] - trap))
+                <= 1e-15 * np.max(np.abs(trap)))
+        ref = cross_blocks_fixed_q(target, source, k, q=1)
+        for kind, block in blocks.items():
+            assert (np.max(np.abs(block - ref[kind]))
+                    <= 1e-13 * np.max(np.abs(ref[kind]))), kind
+    assert calls == []
+
+
+@pytest.mark.parametrize("outer,inner,q01,q10", [
+    ("rounded_triangle", "apple", 1, 1), ("rounded_square", "kite", 1, 3)])
+def test_forward_benchmark_block_oversampling(outer, inner, q01, q10):
+    # the pairs of the forward benchmark at n = 128 and every k0 it takes;
+    # the square's side passes 1.99 source spacings from the kite, so its
+    # block keeps q = 3 (q * ratio >= CROSS_DEPTH = 5.5)
+    g0 = discretize(ParametricCurve.preset(outer), 128)
+    g1 = discretize(ParametricCurve.preset(inner), 128)
+    for k0 in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0):
+        k1 = 0.8 * k0
+        assert _cross_oversample(g1, k1, *_differences(g0, g1)) == q01
+        assert _cross_oversample(g0, k1, *_differences(g1, g0)) == q10
+
+
+def test_close_under_resolved_and_coarse_blocks_keep_more_nodes():
+    circle = ParametricCurve.preset("circle", radius=1.0)
+    # may come within the containment margin between source nodes
+    g0 = discretize(circle, 16)
+    g1 = discretize(ParametricCurve.preset("circle", radius=0.97), 16)
+    assert _cross_oversample(g1, 1.0, *_differences(g0, g1)) == 4
+    # the source's speed spectrum has not decayed (gate 6's iterate 21)
+    g0, g1 = discretize_pair(*_curves("m21"), 32)
+    assert _cross_oversample(g1, 1.0, *_differences(g0, g1)) == 4
+    # far apart but few nodes per wavelength: q = 1 only for k max|dy| <= 0.75
+    g0, g1 = discretize_pair(*_curves("init5"), 32)
+    spacing = np.max(g0.speed) * np.pi / 32
+    diffs = _differences(g1, g0)
+    assert _cross_oversample(g0, 0.74 / spacing, *diffs) == 1
+    assert _cross_oversample(g0, 0.76 / spacing, *diffs) == 2
+    assert operators.CROSS_OVERSAMPLE == 4

@@ -5,10 +5,11 @@ identities."""
 import numpy as np
 import pytest
 
-from layerscat.errors import DomainError, SingularityError
+from layerscat.errors import DomainError
 from layerscat.specfun import bessel_j0j1y0y1
 
-from _oracles import fundamental_solution, hankel1_01, series_j0j1y0y1
+from _oracles import (SingularityError, fundamental_solution, hankel1_01,
+                      series_j0j1y0y1)
 
 # relative accuracy target, measured against the oscillation amplitude
 # near the functions' zeros
