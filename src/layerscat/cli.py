@@ -11,7 +11,8 @@ Subcommands:
                        finite differences and print the worst error;
 * ``export-plot``      expand a trace JSON into per-iteration curve CSVs.
 
-Exit codes: 0 success, 1 input/usage error, 2 numerical failure.
+Exit codes: 0 success, 1 input/usage error (an invalid truth or initial
+geometry included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io
-from .errors import ConfigurationError, DataFormatError, LayerscatError
+from .errors import (ConfigurationError, DataFormatError, GeometryError,
+                     LayerscatError)
 from .geometry import ParametricCurve, StarlikeShape
-from .inverse import (ShapeState, SolverConfig, finite_difference_check,
-                      multi_frequency_drive)
+from .inverse import (INT_FIELDS, ShapeState, SolverConfig,
+                      finite_difference_check, multi_frequency_drive)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,8 +59,7 @@ def _coerce(field_name: str, value: str):
         return None if value.lower() in ("none", "null", "always") else int(value)
     if field_name == "k2":
         return value if value == "k1" else float(value)
-    if field_name in ("modes", "max_iterations", "num_incident",
-                      "n_obs", "n_solve", "n_synth"):
+    if field_name in INT_FIELDS:
         return int(value)
     return float(value)
 
@@ -257,8 +258,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ConfigurationError, DataFormatError, json.JSONDecodeError,
-            FileNotFoundError) as exc:
+    except (ConfigurationError, DataFormatError, GeometryError,
+            json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"layerscat: input error: {exc}", file=sys.stderr)
         return 1
     except LayerscatError as exc:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
 from .forward import observation_directions, solve_plane_wave
-from .geometry import ParametricCurve
+from .geometry import ParametricCurve, validate_pair
 from .inverse import ReconstructionTrace, SolverConfig, discrete_l2_sq
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -95,8 +95,10 @@ def synthesize(curve0: ParametricCurve, curve1: ParametricCurve,
 
     ``lambda1_true`` is the transmission constant of the truth medium;
     very large / very small values stand in for sound-soft / sound-hard
-    buried obstacles.
+    buried obstacles.  The truth pair must pass ``validate_pair``
+    (GeometryError otherwise).
     """
+    validate_pair(curve0, curve1)
     inc = observation_directions(config.num_incident)
     obs = observation_directions(config.n_obs)
     values = np.stack([

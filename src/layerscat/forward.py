@@ -10,6 +10,7 @@ order, which is LAPACK's layout of its transpose, so the LU is taken of
 incident direction (solved transposed) and the far-field rows that the
 Jacobian needs (solved plainly).
 
+The medium stores one transmission constant, lambda1 (finite, nonzero).
 The S/K/KT/T operator blocks depend on the grids and the wavenumbers
 only; lambda1 enters just their scalar combination and the LU.  The
 blocks of the last assembly are therefore kept and reused while the same
@@ -55,9 +56,7 @@ class MediumParams:
     """Wavenumbers and transmission constants of the three-region medium.
 
     ``k1 = k0 sqrt(n1)``; ``k2`` is a free modeling parameter (equal to
-    k1 by default).  ``tau1 = 1/lambda1`` is kept alongside lambda1; the
-    tau form of the problem is solved through the identical lambda-form
-    system.
+    k1 by default).
     """
 
     k0: float
@@ -65,7 +64,6 @@ class MediumParams:
     k2: float
     lambda0: float
     lambda1: float
-    tau1: float
 
     def __post_init__(self):
         if min(self.k0, self.k1, self.k2) <= 0.0:
@@ -78,23 +76,14 @@ class MediumParams:
             raise ConfigurationError("lambda1 too close to -1 (mu1 pole)")
 
     @classmethod
-    def create(cls, k0, n1, lambda0, lambda1=None, tau1=None, k2="k1"):
+    def create(cls, k0, n1, lambda0, lambda1, k2="k1"):
         """Build params from the configuration quantities.
 
-        Exactly one of ``lambda1``/``tau1`` must be given; the other is
-        derived.  ``k2`` is the string ``"k1"`` or an explicit positive
-        wavenumber.
+        ``lambda1`` must be nonzero; ``k2`` is the string ``"k1"`` or an
+        explicit positive wavenumber.
         """
-        if (lambda1 is None) == (tau1 is None):
-            raise ConfigurationError("specify exactly one of lambda1, tau1")
-        if lambda1 is None:
-            if tau1 == 0.0:
-                raise ConfigurationError("tau1 must be nonzero")
-            lambda1 = 1.0 / tau1
-        else:
-            if lambda1 == 0.0:
-                raise ConfigurationError("lambda1 must be nonzero")
-            tau1 = 1.0 / lambda1
+        if lambda1 == 0.0:
+            raise ConfigurationError("lambda1 must be nonzero")
         k1 = k0 * np.sqrt(n1)
         if isinstance(k2, str):
             if k2 != "k1":
@@ -103,8 +92,7 @@ class MediumParams:
         else:
             k2_val = float(k2)
         return cls(k0=float(k0), k1=float(k1), k2=float(k2_val),
-                   lambda0=float(lambda0), lambda1=float(lambda1),
-                   tau1=float(tau1))
+                   lambda0=float(lambda0), lambda1=float(lambda1))
 
     @property
     def mu0(self) -> float:
@@ -356,9 +344,8 @@ class TransmissionSystem:
     def farfield_maps(self, directions):
         key = np.asarray(directions, dtype=float).tobytes()
         if key not in self._ff_cache:
-            self._ff_cache[key] = tuple(
-                assemble_farfield(self.grid0, self.params.k0, directions, kind)
-                for kind in ("S_inf", "K_inf"))
+            self._ff_cache[key] = assemble_farfield(self.grid0, self.params.k0,
+                                                    directions)
         return self._ff_cache[key]
 
     def far_field(self, densities: DensityVector, directions):

@@ -8,19 +8,19 @@ the base solution's traces:
     f2 = (k0^2 - lambda0 k1^2)(h0)_nu u
          + Div[(h0)_nu ((grad u+)_t - lambda0 (grad u-)_t)],
     f3, f4 analogously on the buried boundary, f4 with the extra
-    transmission-constant term (dlambda1/lambda1) du+/dnu
-    (or -(dtau1/tau1) du+/dnu in the tau form).
+    transmission-constant term (dlambda1/lambda1) du+/dnu.
 
 Because the Dirichlet trace is continuous across each boundary, the
 tangential-gradient difference collapses to (1 - lambda) du/ds, and the
-constant term to dlambda1 du-/dnu; only normal components of the
-perturbation fields enter.  The directions are therefore held as
-columns, and the Jacobian builds the data B of every (incident
-direction, perturbation direction) pair at once.  Only the far fields of
-those problems are needed, never their densities, so the Jacobian is
-W B with the far-field rows W = G (I + A)^-1 of the base system: one
-transposed solve with n_obs columns on the base factorization, however
-many pairs there are.
+constant term to dlambda1 du-/dnu (a slot in tau1 = 1/lambda1 is just
+dlambda1 = -lambda1^2); only normal components of the perturbation
+fields enter.  The directions are therefore held as columns, and the
+Jacobian builds the data B of every (incident direction, perturbation
+direction) pair at once.  Only the far fields of those problems are
+needed, never their densities, so the Jacobian is W B with the
+far-field rows W = G (I + A)^-1 of the base system: one transposed
+solve with n_obs columns on the base factorization, however many pairs
+there are.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .forward import BoundaryData, BoundaryTraces, MediumParams, TransmissionSystem
 from .geometry import DiscretizedBoundary, _harmonics
 
@@ -40,15 +39,14 @@ class DirectionColumns:
 
     ``h0``/``h1`` (2 n0 x c and 2 n1 x c) hold the normal component of
     the induced field on the interface and on the buried boundary (zero
-    where a direction leaves that boundary fixed); ``dlambda1`` and
-    ``dtau1`` (c,) hold the transmission-constant increments.
+    where a direction leaves that boundary fixed); ``dlambda1`` (c,)
+    holds the change of lambda1 per unit of each direction.
     """
 
     labels: list
     h0: np.ndarray
     h1: np.ndarray
     dlambda1: np.ndarray
-    dtau1: np.ndarray
 
 
 def radial_normal_component(grid: DiscretizedBoundary, center, modes: int):
@@ -68,18 +66,18 @@ def radial_normal_component(grid: DiscretizedBoundary, center, modes: int):
 
 
 def canonical_directions(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
-                         center1, modes: int, form: str,
+                         center1, modes: int, label: str, dlambda1: float,
                          include_center: bool = True) -> DirectionColumns:
     """The ordered basis directions of the unknown vector.
 
     Order: interface radial coefficients (2M+1), buried radial
     coefficients (2M+1), buried center shifts (a1, a2; optional), then
-    the lambda1 or tau1 slot.
+    the transmission-constant slot ``label``, whose unit step changes
+    lambda1 by ``dlambda1``.
     """
     nr = 2 * modes + 1
     labels = ([f"r0[{j}]" for j in range(nr)] + [f"r1[{j}]" for j in range(nr)]
-              + (["a1", "a2"] if include_center else [])
-              + ["lambda1" if form == "lambda" else "tau1"])
+              + (["a1", "a2"] if include_center else []) + [label])
     c = len(labels)
     h0 = np.zeros((grid0.size, c))
     h0[:, :nr] = radial_normal_component(grid0, (0.0, 0.0), modes)
@@ -87,9 +85,9 @@ def canonical_directions(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
     h1[:, nr:2 * nr] = radial_normal_component(grid1, center1, modes)
     if include_center:
         h1[:, 2 * nr:2 * nr + 2] = grid1.normal
-    dlambda1, dtau1 = np.zeros(c), np.zeros(c)
-    (dlambda1 if form == "lambda" else dtau1)[-1] = 1.0
-    return DirectionColumns(labels, h0, h1, dlambda1, dtau1)
+    slot = np.zeros(c)
+    slot[-1] = dlambda1
+    return DirectionColumns(labels, h0, h1, slot)
 
 
 def derivative_boundary_data(traces: BoundaryTraces,
@@ -104,10 +102,6 @@ def derivative_boundary_data(traces: BoundaryTraces,
     """
     p = params
     dirs = directions
-    if np.any(dirs.dlambda1 != 0.0) and p.lambda1 == 0.0:
-        raise DomainError("lambda1 = 0: switch to the tau form")
-    if np.any(dirs.dtau1 != 0.0) and p.tau1 == 0.0:
-        raise DomainError("tau1 = 0: switch to the lambda form")
 
     def pairs(h, trace):
         # (size, c) with (size, P) -> (size, P c)
@@ -120,9 +114,8 @@ def derivative_boundary_data(traces: BoundaryTraces,
           + (1.0 - p.lambda0) * grid0.d_ds(pairs(h0, traces.duds0)))
     f3 = pairs(-(p.lambda1 - 1.0) * h1, traces.dn_u1_minus)
     # du+/dnu = lambda1 du-/dnu reduces (dlambda/lambda) du+/dnu to
-    # dlambda du-/dnu; the tau slot is the chain-rule multiple.
-    constant = np.broadcast_to(dirs.dlambda1 - dirs.dtau1 * p.lambda1**2,
-                               h1.shape)
+    # dlambda du-/dnu
+    constant = np.broadcast_to(dirs.dlambda1, h1.shape)
     f4 = (pairs((p.k1**2 - p.lambda1 * p.k2**2) * h1, traces.u1)
           + (1.0 - p.lambda1) * grid1.d_ds(pairs(h1, traces.duds1))
           + pairs(constant, traces.dn_u1_minus))

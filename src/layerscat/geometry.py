@@ -630,11 +630,10 @@ def _segments(pts):
     return np.stack([pts, np.roll(pts, -1, axis=0)], axis=1)
 
 
-def _segments_intersect(p, q, ignore=None):
+def _segments_intersect(p, q):
     """Any proper intersection between segment sets p and q.
 
-    p, q: arrays (Np, 2, 2) / (Nq, 2, 2) of segment endpoints; the pairs
-    where the boolean (Np, Nq) mask ``ignore`` is set do not count.
+    p, q: arrays (Np, 2, 2) / (Nq, 2, 2) of segment endpoints.
     """
     a, b = p[:, None, 0], p[:, None, 1]  # (Np, 1, 2)
     c, d = q[None, :, 0], q[None, :, 1]  # (1, Nq, 2)
@@ -646,35 +645,18 @@ def _segments_intersect(p, q, ignore=None):
     d2 = cross(b - a, d - a)
     d3 = cross(d - c, a - c)
     d4 = cross(d - c, b - c)
-    hit = (d1 * d2 < 0) & (d3 * d4 < 0)
-    if ignore is not None:
-        hit &= ~ignore
-    return bool(np.any(hit))
-
-
-def curve_is_simple(curve: ParametricCurve, n_check=VALIDATION_GRID) -> bool:
-    """Pairwise polyline check that the closed curve has no self-crossing."""
-    if curve.kind == "starlike":
-        # positive radius makes a starlike curve simple by construction
-        curve.shape.validate()
-        return True
-    seg = _segments(_polyline(curve, n_check))
-    gap = np.abs(np.subtract.outer(np.arange(n_check), np.arange(n_check)))
-    return not _segments_intersect(seg, seg,
-                                   ignore=(gap <= 1) | (gap == n_check - 1))
+    return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))
 
 
 def _checked_polyline(curve: ParametricCurve, n_check: int):
     """Validate one curve and return its polyline at n_check parameters.
 
     A starlike curve must pass ``StarlikeShape.validate``, whose radii
-    double as the polyline's on the validation grid; a preset must be
-    simple.
+    double as the polyline's on the validation grid.  The presets are
+    fixed simple curves (the circle for any nonzero radius), so theirs
+    is taken as it is.
     """
     if curve.kind != "starlike":
-        if not curve_is_simple(curve, n_check):
-            raise GeometryError(
-                f"preset curve {curve.kind!r} polyline self-intersects")
         return _polyline(curve, n_check)
     t = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
     r = curve.shape.validate()
@@ -771,12 +753,11 @@ def validate_pair(outer: ParametricCurve, inner: ParametricCurve,
     return the minimum distance between their polylines.
 
     Raises GeometryError if a starlike radius is not finite or dips
-    below RADIUS_FLOOR, a preset polyline self-intersects, any inner
-    node falls outside the outer polygon (by angular sector about a
-    starlike outer curve's center, ``_points_in_star``, else by ray
-    casting), the polylines come closer than ``margin``, or they
-    intersect.  Both polyline checks are exact, with L_max the longest
-    segment:
+    below RADIUS_FLOOR, any inner node falls outside the outer polygon
+    (by angular sector about a starlike outer curve's center,
+    ``_points_in_star``, else by ray casting), the polylines come closer
+    than ``margin``, or they intersect.  Both polyline checks are exact,
+    with L_max the longest segment:
 
     * candidate reach: the minimum over (vertex, segment) pairs is at
       most the smallest vertex-to-vertex distance d_v, and the point of

@@ -8,10 +8,10 @@ current starlike iterate, solves the H^s-penalized least-squares step
 with beta chosen so the linearized residual equals rho times the current
 residual (bracketing + bisection on the monotone residual curve), and
 applies the step under geometry safeguards (radius floor, containment,
-pole guard) with up to ten halvings.  The unknown for the transmission
-constant is lambda1 while |lambda1| <= lambda_switch and tau1 = 1/lambda1
-beyond, with both kept in sync after every step.  Frequencies are swept
-lowest to highest, each stage starting from the previous stage's result.
+pole guard) with up to ten halvings.  Only lambda1 is stored; the step
+moves lambda1 while |lambda1| <= lambda_switch and tau1 = 1/lambda1
+beyond (``transmission_slot``).  Frequencies are swept lowest to
+highest, each stage starting from the previous stage's result.
 
 Each stage picks its Nystrom resolution from the ladder RUNGS, capped
 by ``n_solve``: the smallest rung whose far field agrees with the next
@@ -23,7 +23,7 @@ a stage.  A solver failure inside a stage aborts that stage only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg as sla
@@ -48,13 +48,12 @@ RECHECK_DROP = 0.1
 
 @dataclass
 class ShapeState:
-    """Current reconstruction iterate: two starlike boundaries and the
-    transmission constant in both parametrizations."""
+    """Current reconstruction iterate: two starlike boundaries, lambda1,
+    and the slot form of the step that made it."""
 
     gamma0: StarlikeShape
     gamma1: StarlikeShape
     lambda1: float
-    tau1: float
     active_form: str = "lambda"
 
     @classmethod
@@ -66,17 +65,15 @@ class ShapeState:
             gamma0=StarlikeShape.circle(r0, (0.0, 0.0), modes),
             gamma1=StarlikeShape.circle(r1, center1, modes),
             lambda1=float(lambda1),
-            tau1=1.0 / float(lambda1),
         )
+
+    @property
+    def tau1(self) -> float:
+        return 1.0 / self.lambda1
 
     def curves(self):
         return (ParametricCurve.starlike(self.gamma0),
                 ParametricCurve.starlike(self.gamma1))
-
-    def with_form(self, form: str):
-        if form not in ("lambda", "tau"):
-            raise ConfigurationError(f"unknown form {form!r}")
-        return replace(self, active_form=form)
 
     def validate_geometry(self) -> float:
         """Raise GeometryError unless the pair is valid; return the
@@ -118,8 +115,7 @@ class SolverConfig:
         if any(b <= a for a, b in zip(freqs, freqs[1:])) or not freqs:
             raise ConfigurationError("frequencies must be strictly increasing")
         self.frequencies = freqs
-        for name in ("modes", "max_iterations", "num_incident",
-                     "n_obs", "n_solve", "n_synth"):
+        for name in INT_FIELDS:
             if getattr(self, name) < 1 and not (name == "modes" and self.modes == 0):
                 raise ConfigurationError(f"{name} must be positive")
 
@@ -130,6 +126,11 @@ class SolverConfig:
     def center_updates_at(self, m: int) -> bool:
         return (self.center_update_iterations is None
                 or m < self.center_update_iterations)
+
+
+# the fields with an integer default: counts, each at least 1 (modes 0 too)
+INT_FIELDS = tuple(f.name for f in fields(SolverConfig)
+                   if type(f.default) is int)
 
 
 @dataclass
@@ -293,6 +294,14 @@ def _nudge_lambda(lam: float) -> float:
     return lam
 
 
+def transmission_slot(lambda1: float, lambda_switch: float):
+    """(form, label, dlambda1 per unit step) of the unknown vector's
+    transmission slot: lambda1 up to ``lambda_switch``, else tau1."""
+    if abs(lambda1) <= lambda_switch:
+        return "lambda", "lambda1", 1.0
+    return "tau", "tau1", -lambda1**2
+
+
 def _candidate_state(state: ShapeState, delta, form: str,
                      include_center: bool, modes: int) -> ShapeState:
     nr = 2 * modes + 1
@@ -304,18 +313,14 @@ def _candidate_state(state: ShapeState, delta, form: str,
         center1 = state.gamma1.center
     slot = delta[-1]
     if form == "lambda":
-        lam = _nudge_lambda(state.lambda1 + slot)
-        tau = 1.0 / lam
+        lam = state.lambda1 + slot
     else:
         tau = state.tau1 + slot
-        if tau == 0.0:
-            tau = 1e-12
-        lam = _nudge_lambda(1.0 / tau)
-        tau = 1.0 / lam
+        lam = 1.0 / (tau if tau != 0.0 else 1e-12)
     return ShapeState(
         gamma0=StarlikeShape((0.0, 0.0), c0),
         gamma1=StarlikeShape(center1, c1),
-        lambda1=lam, tau1=tau, active_form=form,
+        lambda1=_nudge_lambda(lam), active_form=form,
     )
 
 
@@ -430,12 +435,12 @@ def newton_iteration(state: ShapeState, data, k0: float, config: SolverConfig):
                 rec.stopped = "max_iterations"
                 break
 
-            form = ("lambda" if abs(state.lambda1) <= config.lambda_switch
-                    else "tau")
+            form, label, dlambda1 = transmission_slot(state.lambda1,
+                                                      config.lambda_switch)
             include_center = config.center_updates_at(m)
             dirs = canonical_directions(system.grid0, system.grid1,
                                         state.gamma1.center, config.modes,
-                                        form, include_center)
+                                        label, dlambda1, include_center)
             jac, residual = jacobian(system, traces, ffs, data, dirs,
                                      obs_dirs)
             jac = norm_scale * jac
@@ -452,7 +457,6 @@ def newton_iteration(state: ShapeState, data, k0: float, config: SolverConfig):
             rec.discrepancy_infeasible = infeasible
             rec.linearized_ratio = lin_ratio
             rec.min_separation = separation
-            state = state.with_form(form)
     except StageAbortError as exc:
         exc.records = records  # type: ignore[attr-defined]
         exc.state = recorded  # type: ignore[attr-defined]
@@ -465,36 +469,11 @@ def newton_iteration(state: ShapeState, data, k0: float, config: SolverConfig):
     return state, records
 
 
-def _perturbed_state(state: ShapeState, label: str, h: float,
-                     modes: int) -> ShapeState:
-    c0 = np.array(state.gamma0.coeffs)
-    c1 = np.array(state.gamma1.coeffs)
-    center1 = np.array(state.gamma1.center)
-    lam = state.lambda1
-    if label.startswith("r0["):
-        c0[int(label[3:-1])] += h
-    elif label.startswith("r1["):
-        c1[int(label[3:-1])] += h
-    elif label == "a1":
-        center1[0] += h
-    elif label == "a2":
-        center1[1] += h
-    elif label == "lambda1":
-        lam = lam + h
-    elif label == "tau1":
-        lam = 1.0 / (state.tau1 + h)
-    else:  # pragma: no cover - defensive
-        raise ConfigurationError(f"unknown direction label {label!r}")
-    return ShapeState(gamma0=StarlikeShape((0.0, 0.0), c0),
-                      gamma1=StarlikeShape(center1, c1),
-                      lambda1=lam, tau1=1.0 / lam,
-                      active_form=state.active_form)
-
-
 def finite_difference_check(state: ShapeState, config: SolverConfig,
                             k0: float, step: float = 1e-3):
     """Relative error of every Jacobian column against central finite
-    differences of the full nonlinear forward map.
+    differences of the full nonlinear forward map (through the Newton
+    step's update).
 
     Returns {direction label: relative l2 column error}.
     """
@@ -507,14 +486,17 @@ def finite_difference_check(state: ShapeState, config: SolverConfig,
 
     ff, traces, _, system = forward(state)
     ffs = ff.T
-    form = "lambda" if abs(state.lambda1) <= config.lambda_switch else "tau"
+    form, label, dlambda1 = transmission_slot(state.lambda1,
+                                              config.lambda_switch)
     dirs = canonical_directions(system.grid0, system.grid1,
-                                state.gamma1.center, config.modes, form,
-                                include_center=True)
+                                state.gamma1.center, config.modes, label,
+                                dlambda1, include_center=True)
     jac, _ = jacobian(system, traces, ffs, np.zeros_like(ffs), dirs, obs)
     errors = {}
     for j, label in enumerate(dirs.labels):
-        ff_p, ff_m = (forward(_perturbed_state(state, label, h, config.modes))[0]
+        e_j = np.eye(len(dirs.labels))[j]
+        ff_p, ff_m = (forward(_candidate_state(state, h * e_j, form, True,
+                                               config.modes))[0]
                       for h in (step, -step))
         fd_real = real_rows((ff_p - ff_m).T / (2.0 * step))
         denom = max(float(np.linalg.norm(fd_real)), 1e-300)

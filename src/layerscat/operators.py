@@ -63,8 +63,6 @@ from .geometry import CONTAINMENT_MARGIN, DiscretizedBoundary, discretize
 from .quadrature import hypersingular_weight_matrix, log_weight_matrix
 from .specfun import EULER_GAMMA, bessel_j0j1y0y1
 
-BLOCK_KINDS = ("S", "K", "KT", "T")
-FARFIELD_KINDS = ("S_inf", "K_inf")
 CROSS_OVERSAMPLE = 4  # the cap on a cross block's oversampling q
 CROSS_TAIL_MAX = 1e-5
 CROSS_PLAIN_RATIO = 6.5
@@ -166,7 +164,7 @@ def _single_layer_diag(grid: DiscretizedBoundary, k: float):
             / (2.0 * np.pi))
 
 
-def _same_curve_matrices(pd: _PairData, kinds):
+def _same_curve_matrices(pd: _PairData):
     """{kind: stacked (real, imaginary) parts} of the same-curve blocks."""
     g = pd.target
     n = g.n
@@ -187,28 +185,23 @@ def _same_curve_matrices(pd: _PairData, kinds):
         np.fill_diagonal(m2, diag)
         return np.stack([rmat * m1 + trap * m2, trap * j * a])
 
-    out = {}
-    if "S" in kinds:
-        out["S"] = log_rule(pd.j0, pd.y0, 0.25 * speed_row, s_diag)
-    if "K" in kinds:
-        out["K"] = log_rule(pd.j1, pd.y1, (0.25 * k) * pd.p_src * speed_row,
-                            k_diag)
-    if "KT" in kinds:
-        out["KT"] = log_rule(pd.j1, pd.y1, (-0.25 * k) * pd.p_tgt * speed_row,
-                             k_diag)
-    if "T" in kinds:
-        # parametric single layer (no arc-length factor) minus its
-        # constant-coefficient log part
-        p_sharp = log_rule(pd.j0, pd.y0, 0.25, s_diag / g.speed)
-        p_sharp[0] += rmat / (4.0 * np.pi)
-        nu_dot = g.normal @ g.normal.T
-        q_block = log_rule(pd.j0, pd.y0, (0.25 * k * k) * nu_dot * speed_row,
-                           k * k * s_diag)
-        dmat = _spectral_diff_matrix(n)
-        t_block = dmat @ p_sharp @ dmat
-        t_block[0] += 0.5 * hypersingular_weight_matrix(n)
-        out["T"] = t_block / g.speed[:, None] + q_block
-
+    out = {
+        "S": log_rule(pd.j0, pd.y0, 0.25 * speed_row, s_diag),
+        "K": log_rule(pd.j1, pd.y1, (0.25 * k) * pd.p_src * speed_row, k_diag),
+        "KT": log_rule(pd.j1, pd.y1, (-0.25 * k) * pd.p_tgt * speed_row,
+                       k_diag),
+    }
+    # parametric single layer (no arc-length factor) minus its
+    # constant-coefficient log part
+    p_sharp = log_rule(pd.j0, pd.y0, 0.25, s_diag / g.speed)
+    p_sharp[0] += rmat / (4.0 * np.pi)
+    nu_dot = g.normal @ g.normal.T
+    q_block = log_rule(pd.j0, pd.y0, (0.25 * k * k) * nu_dot * speed_row,
+                       k * k * s_diag)
+    dmat = _spectral_diff_matrix(n)
+    t_block = dmat @ p_sharp @ dmat
+    t_block[0] += 0.5 * hypersingular_weight_matrix(n)
+    out["T"] = t_block / g.speed[:, None] + q_block
     return out
 
 
@@ -230,7 +223,7 @@ def _spectral_diff_matrix(n: int):
     return mat
 
 
-def _cross_curve_matrices(pd: _PairData, kinds):
+def _cross_curve_matrices(pd: _PairData):
     """{kind: stacked (real, imaginary) parts} of the cross-curve blocks."""
     gt, gf = pd.target, pd.fine
     k = pd.k
@@ -247,7 +240,7 @@ def _cross_curve_matrices(pd: _PairData, kinds):
     fold = gf is not pd.source
     parts = np.empty((2,) + pd.r.shape)  # fine-grid (real, imaginary) parts
     out = {}
-    for kind in kinds:
+    for kind in ("S", "K", "KT", "T"):
         if not fold and out:
             parts = np.empty_like(parts)  # kept as the block itself
         re, im = parts
@@ -285,19 +278,16 @@ def _decimate(fine_rows, n: int):
 
 
 def assemble_blocks(target: DiscretizedBoundary, source: DiscretizedBoundary,
-                    k: float, kinds=BLOCK_KINDS):
-    """Assemble several S/K/KT/T blocks (see module docstring) for one
+                    k: float):
+    """Assemble the S/K/KT/T blocks (see module docstring) of one
     (target, source, k) pair, sharing kernel evaluations.  Returns
     {kind: dense matrix mapping source-grid densities to target-grid
     values}."""
-    for kind in kinds:
-        if kind not in BLOCK_KINDS:
-            raise SolverError(f"unknown operator kind {kind!r}")
     pd = _PairData(target, source, k)
     if pd.same:
-        parts = _same_curve_matrices(pd, kinds)
+        parts = _same_curve_matrices(pd)
     else:
-        parts = _cross_curve_matrices(pd, kinds)
+        parts = _cross_curve_matrices(pd)
     blocks = {}
     for kind, (re, im) in parts.items():
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
@@ -306,28 +296,25 @@ def assemble_blocks(target: DiscretizedBoundary, source: DiscretizedBoundary,
     return blocks
 
 
-def assemble_farfield(source: DiscretizedBoundary, k0: float, directions,
-                      kind: str):
-    """Far-field map of a layer density on the interface, one row per
-    observation direction (``directions``: (n_obs, 2) unit vectors).
+def assemble_farfield(source: DiscretizedBoundary, k0: float, directions):
+    """Far-field maps (S_inf, K_inf) of layer densities on the interface,
+    one row per observation direction (``directions``: (n_obs, 2) unit
+    vectors).
 
     ``S_inf`` integrates exp(-i k0 xhat.y); ``K_inf`` integrates its
     normal derivative -i k0 (xhat.nu(y)) exp(-i k0 xhat.y).  Both carry
     the prefactor exp(i pi/4)/sqrt(8 pi k0).
     """
-    if kind not in FARFIELD_KINDS:
-        raise SolverError(f"unknown far-field kind {kind!r}")
     dirs = np.asarray(directions, dtype=float)
     if np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) > 1e-12:
         raise SolverError("observation directions must be unit vectors")
     pref = np.exp(0.25j * np.pi) / np.sqrt(8.0 * np.pi * k0)
     phase = np.exp(-1j * k0 * (dirs @ source.x.T))  # (n_obs, 2n)
     trap = np.pi / source.n
-    if kind == "S_inf":
-        mat = pref * trap * phase * source.speed[None, :]
-    else:
-        xn = dirs @ source.normal.T  # (n_obs, 2n)
-        mat = pref * trap * (-1j * k0) * xn * phase * source.speed[None, :]
-    if not np.all(np.isfinite(mat)):
-        raise SolverError(f"non-finite entries in {kind} operator")
-    return mat
+    s_inf = pref * trap * phase * source.speed[None, :]
+    xn = dirs @ source.normal.T  # (n_obs, 2n)
+    k_inf = pref * trap * (-1j * k0) * xn * phase * source.speed[None, :]
+    for kind, mat in (("S_inf", s_inf), ("K_inf", k_inf)):
+        if not np.all(np.isfinite(mat)):
+            raise SolverError(f"non-finite entries in {kind} operator")
+    return s_inf, k_inf

@@ -6,7 +6,8 @@ circle-operator eigenvalues, brute-force quadrature where a reference
 integral is needed, all-pairs polyline distance, crossing and
 containment tests for the geometry safeguard, a cosine and a sine per
 Fourier mode for starlike radii, node-map densities and the radial
-normal components, a one-candidate-at-a-time Newton loop for the
+normal components, an all-pairs self-crossing test for one closed
+curve, a one-candidate-at-a-time Newton loop for the
 closest approaches of a curve pair, the direct Jacobian path (one solve per
 derivative problem) for the far-field-rows Jacobian, the Dirichlet
 kernel for the cross-block decimation, the cross-curve blocks at one
@@ -237,9 +238,9 @@ def closest_approaches(curve, other, dist):
     return found
 
 
-def polylines_cross(p, q):
-    """Any proper crossing between a segment of the closed polyline
-    through ``p`` and one through ``q``, testing all segment pairs."""
+def _crossings(p, q):
+    """(Np, Nq) mask of the proper crossings between the segments of the
+    closed polylines through ``p`` and ``q``, all pairs tested."""
     a, b = p[:, None, :], np.roll(p, -1, axis=0)[:, None, :]  # (Np, 1, 2)
     c, d = q[None, :, :], np.roll(q, -1, axis=0)[None, :, :]  # (1, Nq, 2)
 
@@ -250,7 +251,23 @@ def polylines_cross(p, q):
     d2 = cross(b - a, d - a)
     d3 = cross(d - c, a - c)
     d4 = cross(d - c, b - c)
-    return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))
+    return (d1 * d2 < 0) & (d3 * d4 < 0)
+
+
+def polylines_cross(p, q):
+    """Any proper crossing between a segment of the closed polyline
+    through ``p`` and one through ``q``, testing all segment pairs."""
+    return bool(np.any(_crossings(p, q)))
+
+
+def curve_is_simple(curve, n_check=512):
+    """No proper crossing between two segments of the curve's closed
+    polyline at ``n_check`` equispaced parameters, all pairs tested
+    except a segment with itself and its two neighbours."""
+    pts = curve.point(np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False))
+    gap = np.abs(np.subtract.outer(np.arange(n_check), np.arange(n_check)))
+    ignore = (gap <= 1) | (gap == n_check - 1)
+    return not np.any(_crossings(pts, pts) & ~ignore)
 
 
 def direct_derivative_far_field(system, traces, directions, obs_directions,
@@ -380,7 +397,7 @@ def fixed_resolution_newton(state, data, k0, config):
     from layerscat.frechet import canonical_directions, jacobian
     from layerscat.inverse import (ERR_FLOOR, IterationRecord, apply_step,
                                    choose_beta, lm_step, penalty_weights,
-                                   relative_error)
+                                   relative_error, transmission_slot)
 
     data = np.atleast_2d(np.asarray(data, dtype=complex))
     incident = observation_directions(data.shape[0])
@@ -407,11 +424,12 @@ def fixed_resolution_newton(state, data, k0, config):
         if m == config.max_iterations:
             rec.stopped = "max_iterations"
             break
-        form = "lambda" if abs(state.lambda1) <= config.lambda_switch else "tau"
+        form, label, dlambda1 = transmission_slot(state.lambda1,
+                                                  config.lambda_switch)
         center = config.center_updates_at(m)
         dirs = canonical_directions(system.grid0, system.grid1,
-                                    state.gamma1.center, config.modes, form,
-                                    center)
+                                    state.gamma1.center, config.modes, label,
+                                    dlambda1, center)
         jac, residual = jacobian(system, traces, ff.T, data, dirs, obs)
         jac, residual = scale * jac, scale * residual
         weights = penalty_weights(config.modes, config.s, center)
@@ -422,5 +440,4 @@ def fixed_resolution_newton(state, data, k0, config):
                                      / np.linalg.norm(residual))
         state, rec.halvings, rec.min_separation = apply_step(
             state, step, form, center, config.modes)
-        state = state.with_form(form)
     return records

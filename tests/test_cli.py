@@ -1,12 +1,14 @@
 """End-to-end CLI behavior and exit codes."""
 
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from layerscat.cli import main
+from layerscat.cli import _load_config, main
 from layerscat.data_io import read_dataset, read_trace
 from layerscat.inverse import SolverConfig
 
@@ -154,3 +156,44 @@ def test_set_overrides(tmp_path, small_config_path):
     assert main(["synth", "--set", "bogus_key=1",
                  "--truth-outer", "circle:2.0", "--truth-inner", "circle:0.8",
                  "--truth-lambda1", "2.0", "--out", str(out)]) == 1
+
+
+def test_set_gives_every_field_the_type_of_its_default():
+    fields = dataclasses.fields(SolverConfig)
+    for f in fields:
+        text = (",".join(map(str, f.default)) if isinstance(f.default, tuple)
+                else str(f.default))
+        config = _load_config(argparse.Namespace(config=None,
+                                                 set=[f"{f.name}={text}"]))
+        assert type(getattr(config, f.name)) is type(f.default), f.name
+        assert getattr(config, f.name) == f.default, f.name
+    config = _load_config(argparse.Namespace(
+        config=None, set=["center_update_iterations=5", "k2=1.5"]))
+    assert config.center_update_iterations == 5
+    assert type(config.center_update_iterations) is int
+    assert type(config.k2) is float
+
+
+@pytest.mark.parametrize("outer,inner", [("circle:1", "circle:2"),
+                                         ("apple", "kite")])
+def test_invalid_truth_geometry_exits_one(tmp_path, small_config_path, capsys,
+                                          outer, inner):
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(small_config_path),
+                 "--truth-outer", outer, "--truth-inner", inner,
+                 "--truth-lambda1", "2.0", "--out", str(out)]) == 1
+    assert "input error" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
+def test_invalid_initial_geometry_exits_one(tmp_path, small_config_path,
+                                            capsys):
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(small_config_path),
+                 "--truth-outer", "circle:2.0", "--truth-inner", "circle:0.8",
+                 "--truth-lambda1", "2.0", "--out", str(out)]) == 0
+    assert main(["invert", "--config", str(small_config_path),
+                 "--data", str(out / "dataset.csv"),
+                 "--init-r0", "1", "--init-r1", "2", "--out", str(out)]) == 1
+    assert "input error" in capsys.readouterr().err
+    assert not (out / "trace.json").exists()

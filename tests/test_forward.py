@@ -1,6 +1,6 @@
 """Forward transmission solver: oracle equivalence, linearity,
-reciprocity, trace consistency, the tau/lambda equivalence, and the
-reuse of operator blocks across systems."""
+reciprocity, trace consistency, and the reuse of operator blocks across
+systems."""
 
 import warnings
 import weakref
@@ -27,14 +27,11 @@ def test_medium_params_create():
     p = _params()
     assert p.k1 == pytest.approx(2.0 * 0.8)
     assert p.k2 == p.k1
-    assert p.tau1 == pytest.approx(0.5)
+    assert p.lambda1 == 2.0
     assert p.mu0 == pytest.approx(2.0 / 2.2)
-    pt = MediumParams.create(k0=2.0, n1=0.64, lambda0=1.2, tau1=0.2)
-    assert pt.lambda1 == pytest.approx(5.0)
-    with pytest.raises(ConfigurationError):
-        MediumParams.create(k0=2.0, n1=0.64, lambda0=1.2)
-    with pytest.raises(ConfigurationError):
-        MediumParams.create(k0=2.0, n1=0.64, lambda0=1.2, lambda1=1.0, tau1=1.0)
+    assert p.mu1 == pytest.approx(2.0 / 3.0)
+    with pytest.raises(ConfigurationError, match="nonzero"):
+        MediumParams.create(k0=2.0, n1=0.64, lambda0=1.2, lambda1=0.0)
     with pytest.raises(ConfigurationError):
         MediumParams.create(k0=2.0, n1=0.64, lambda0=1.2, lambda1=-1.0 + 1e-9)
     with pytest.raises(ConfigurationError):
@@ -204,18 +201,6 @@ def test_reciprocity_example1_geometry():
     err = max(abs(ff[i, j] - ff[(j + 4) % 8, (i + 4) % 8])
               for i in range(8) for j in range(8))
     assert err < 1e-6
-
-
-def test_tau_lambda_equivalence_bitwise():
-    obs = observation_directions(16)
-    d = np.array([1.0, 0.0])
-    args = (ParametricCurve.preset("circle", radius=2.0),
-            ParametricCurve.preset("circle", radius=1.0))
-    ff_l, _, _, _ = solve_plane_wave(*args, _params(lambda1=5.0), d, 24, obs)
-    ff_t, _, _, _ = solve_plane_wave(
-        *args, MediumParams.create(k0=2.0, n1=0.64, lambda0=1.2, tau1=0.2),
-        d, 24, obs)
-    assert np.array_equal(ff_l, ff_t)
 
 
 def test_dirichlet_and_neumann_limit_trends():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerscat import forward
-from layerscat.errors import DomainError, SolverError
+from layerscat.errors import SolverError
 from layerscat.forward import (MediumParams, TransmissionSystem,
                                observation_directions, solve_plane_wave)
 from layerscat.frechet import (DirectionColumns, canonical_directions,
@@ -18,7 +18,8 @@ from layerscat.frechet import (DirectionColumns, canonical_directions,
                                jacobian, radial_normal_component, real_rows)
 from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
                                 discretize_pair)
-from layerscat.inverse import ShapeState, SolverConfig, finite_difference_check
+from layerscat.inverse import (ShapeState, SolverConfig,
+                               finite_difference_check, transmission_slot)
 
 from _oracles import (direct_derivative_far_field,
                       radial_normal_component as radial_normal_oracle)
@@ -70,30 +71,30 @@ def test_radial_normal_component_matches_mode_sums(modes, n, graded, turns):
 
 def test_center_shift_normal_component():
     g = discretize(ParametricCurve.preset("apple"), 32)
-    dirs = canonical_directions(g, g, (0.1, 0.2), 2, "lambda")
+    dirs = canonical_directions(g, g, (0.1, 0.2), 2, "lambda1", 1.0)
     a1 = dirs.labels.index("a1")
     assert np.array_equal(dirs.h1[:, a1], g.normal[:, 0])
 
 
 def _directions(g0, g1, *specs):
-    """DirectionColumns from (label, h0, h1, dlambda1, dtau1) columns;
-    None stands for a fixed boundary."""
+    """DirectionColumns from (label, h0, h1, dlambda1) columns; None
+    stands for a fixed boundary."""
     def column(h, size):
         return np.zeros(size) if h is None else h
 
-    labels, h0, h1, dlam, dtau = zip(*specs)
+    labels, h0, h1, dlam = zip(*specs)
     return DirectionColumns(
         list(labels),
         np.stack([column(h, g0.size) for h in h0], axis=1),
         np.stack([column(h, g1.size) for h in h1], axis=1),
-        np.array(dlam, dtype=float), np.array(dtau, dtype=float))
+        np.array(dlam, dtype=float))
 
 
 def _base_setup():
     state = ShapeState(
         gamma0=StarlikeShape((0.0, 0.0), [2.4, 0.15, 0.0, 0.0, 0.0, -0.1, 0.0]),
         gamma1=StarlikeShape((0.1, -0.05), [0.5, 0.0, 0.05, 0.0, 0.04, 0.0, 0.0]),
-        lambda1=10.0, tau1=0.1)
+        lambda1=10.0)
     config = SolverConfig(modes=3, num_incident=1, n_obs=16, n_solve=24,
                           frequencies=(2.0,))
     incident = observation_directions(1)
@@ -106,14 +107,14 @@ def _base_setup():
 
 def test_zero_direction_gives_zero_far_field():
     _, _, system, g0, g1, _, traces, obs = _base_setup()
-    null = _directions(g0, g1, ("null", None, None, 0.0, 0.0))
+    null = _directions(g0, g1, ("null", None, None, 0.0))
     cols = derivative_far_field(system, traces, null, obs)
     assert np.max(np.abs(cols)) == 0.0
 
 
 def test_pure_lambda_direction_populates_only_f4():
     state, _, system, g0, g1, _, traces, obs = _base_setup()
-    d = _directions(g0, g1, ("lambda1", None, None, 1.0, 0.0))
+    d = _directions(g0, g1, ("lambda1", None, None, 1.0))
     data = derivative_boundary_data(traces, d, system.params, g0, g1)
     assert np.max(np.abs(data.f1)) == 0.0
     assert np.max(np.abs(data.f2)) == 0.0
@@ -126,8 +127,8 @@ def test_pure_lambda_direction_populates_only_f4():
 def test_derivative_data_linear_in_direction():
     state, _, system, g0, g1, _, traces, obs = _base_setup()
     h = radial_normal_component(g0, (0.0, 0.0), 3)[:, 1]
-    d1 = ("x", h, None, 0.5, 0.0)
-    d2 = ("2x", 2.0 * h, None, 1.0, 0.0)
+    d1 = ("x", h, None, 0.5)
+    d2 = ("2x", 2.0 * h, None, 1.0)
     b1 = derivative_boundary_data(traces, _directions(g0, g1, d1),
                                   system.params, g0, g1)
     b2 = derivative_boundary_data(traces, _directions(g0, g1, d2),
@@ -141,40 +142,33 @@ def test_derivative_data_linear_in_direction():
         < 1e-12 * np.max(np.abs(cols[:, 1]))
 
 
-def test_division_guard():
-    state, _, system, g0, g1, _, traces, obs = _base_setup()
-    bad = MediumParams(k0=2.0, k1=1.6, k2=1.6, lambda0=1.2, lambda1=0.0,
-                       tau1=0.0)
-    with pytest.raises(DomainError):
-        derivative_boundary_data(
-            traces, _directions(g0, g1, ("lambda1", None, None, 1.0, 0.0)),
-            bad, g0, g1)
-    with pytest.raises(DomainError):
-        derivative_boundary_data(
-            traces, _directions(g0, g1, ("tau1", None, None, 0.0, 1.0)),
-            bad, g0, g1)
-
-
 def test_chain_rule_between_forms():
+    # the tau1 = 1/lambda1 slot's column is the lambda1 slot's times
+    # d lambda1 / d tau1 = -lambda1^2
     state, config, system, g0, g1, ffs, traces, obs = _base_setup()
-    lam_dir = ("lambda1", None, None, 1.0, 0.0)
-    tau_dir = ("tau1", None, None, 0.0, 1.0)
-    cols = derivative_far_field(
-        system, traces, _directions(g0, g1, lam_dir, tau_dir), obs)
     lam = system.params.lambda1
-    err = np.max(np.abs(cols[:, 1] + lam**2 * cols[:, 0]))
-    assert err < 1e-8 * np.max(np.abs(cols[:, 1]))
+    cols = {}
+    for switch in (np.inf, 0.0):
+        _, label, dlambda1 = transmission_slot(lam, switch)
+        dirs = canonical_directions(g0, g1, state.gamma1.center, 3, label,
+                                    dlambda1)
+        assert dirs.labels[-1] == label
+        cols[label] = derivative_far_field(system, traces, dirs, obs)[:, -1]
+    err = np.max(np.abs(cols["tau1"] + lam**2 * cols["lambda1"]))
+    assert err < 1e-12 * np.max(np.abs(cols["tau1"]))
 
 
 def test_jacobian_against_finite_differences_coarse():
     state, config, *_ = _base_setup()
+    # lambda1 = 10 is beyond lambda_switch = 1: the tau1 slot
     errors = finite_difference_check(state, config, k0=2.0, step=1e-3)
+    assert "tau1" in errors
     assert max(errors.values()) < 1e-2
-    # a tau-form state exercises the other constant slot
-    state_t = ShapeState(gamma0=state.gamma0, gamma1=state.gamma1,
-                         lambda1=10.0, tau1=0.1, active_form="tau")
-    errors_t = finite_difference_check(state_t, config, k0=2.0, step=1e-3)
-    assert max(errors_t.values()) < 1e-2
+    # a wider switch exercises the lambda1 slot
+    errors_l = finite_difference_check(
+        state, replace(config, lambda_switch=1e9), k0=2.0, step=1e-3)
+    assert "lambda1" in errors_l
+    assert max(errors_l.values()) < 1e-2
 
 
 def test_jacobian_against_finite_differences_graded():
@@ -183,7 +177,7 @@ def test_jacobian_against_finite_differences_graded():
     state = ShapeState(
         gamma0=StarlikeShape((0.0, 0.0), [2.4, 0.15, 0.0, 0.0, 0.0, -0.1, 0.0]),
         gamma1=StarlikeShape((1.4, -0.05), [0.8, 0.0, 0.05, 0.0, 0.04, 0.0, 0.0]),
-        lambda1=10.0, tau1=0.1)
+        lambda1=10.0)
     assert all(g.node_map is not None and g.node_map.centers.size > 0
                for g in discretize_pair(*state.curves(), 32))
     config = SolverConfig(modes=3, num_incident=1, n_obs=16, n_solve=32,
@@ -208,7 +202,8 @@ def test_jacobian_is_one_solve_in_the_per_pair_layout(monkeypatch):
         *state.curves(), config.medium(2.0, state.lambda1),
         observation_directions(3), config.n_solve, obs)
     g0, g1 = system.grid0, system.grid1
-    dirs = canonical_directions(g0, g1, state.gamma1.center, 3, "lambda")
+    dirs = canonical_directions(g0, g1, state.gamma1.center, 3, "lambda1",
+                                1.0)
     c = len(dirs.labels)
     shapes, transposed = [], []
     solve_stacked = TransmissionSystem.solve_stacked
@@ -231,8 +226,7 @@ def test_jacobian_is_one_solve_in_the_per_pair_layout(monkeypatch):
         tr = type(traces)(**{k: v[:, i] for k, v in vars(traces).items()})
         for j in range(c):
             one = _directions(g0, g1, (dirs.labels[j], dirs.h0[:, j],
-                                       dirs.h1[:, j], dirs.dlambda1[j],
-                                       dirs.dtau1[j]))
+                                       dirs.h1[:, j], dirs.dlambda1[j]))
             col = direct_derivative_far_field(system, tr, one, obs)[:, 0]
             rows = jac[2 * 16 * i:2 * 16 * (i + 1), j]
             assert np.max(np.abs(rows - np.concatenate([col.real, col.imag]))) \
@@ -256,8 +250,12 @@ def test_jacobian_matches_direct_solves(lambda1, form):
         params, observation_directions(2), 64, obs)
     assert system.grid1.node_map is not None
     assert np.any(system._col_scale != 1.0) == (lambda1 > 1e3)
+    # an infinite switch keeps the lambda1 slot, a zero one takes tau1
+    got_form, label, dlambda1 = transmission_slot(
+        lambda1, np.inf if form == "lambda" else 0.0)
+    assert got_form == form
     dirs = canonical_directions(system.grid0, system.grid1, (0.0, 0.0), 5,
-                                form)
+                                label, dlambda1)
     c = len(dirs.labels)
     jac, _ = jacobian(system, traces, ff.T, ff.T, dirs, obs)
     direct = direct_derivative_far_field(system, traces, dirs, obs,

@@ -18,15 +18,16 @@ from layerscat import geometry
 from layerscat.errors import ConfigurationError, GeometryError
 from layerscat.geometry import (CONTAINMENT_MARGIN, GRADING_OFF,
                                 GRADING_SAMPLES, VALIDATION_GRID, NodeMap,
-                                ParametricCurve, StarlikeShape, curve_is_simple,
-                                discretize, discretize_pair,
+                                ParametricCurve, StarlikeShape, discretize,
+                                discretize_pair,
                                 spectral_derivative, validate_pair)
 from layerscat.geometry import (_closest_approaches, _graded_node_maps,
                                 _pair_node_maps, _points_in_polygon,
                                 _points_in_star, _polyline_separation)
 
-from _oracles import (closest_approaches, min_point_polyline_distance,
-                      node_map_density, points_in_polygon, polylines_cross,
+from _oracles import (closest_approaches, curve_is_simple,
+                      min_point_polyline_distance, node_map_density,
+                      points_in_polygon, polylines_cross,
                       starlike_radius_derivatives)
 
 PRESETS = ("apple", "kite", "rounded_square", "rounded_triangle")
@@ -213,8 +214,14 @@ def test_degenerate_curve_detected():
 
 
 def test_simplicity_check():
+    # validate_pair takes the preset polylines as simple without a check
     for name in PRESETS:
         assert curve_is_simple(ParametricCurve.preset(name))
+    for radius in (0.05, 1.0, 2.4, -1.5):
+        assert curve_is_simple(ParametricCurve.preset("circle", radius=radius))
+    # a limacon with an inner loop, r = 0.2 + cos(theta)
+    looped = StarlikeShape((0.0, 0.0), [0.2, 1.0, 0.0])
+    assert not curve_is_simple(ParametricCurve.starlike(looped))
 
 
 def test_containment_of_example_pairings():
@@ -636,7 +643,7 @@ def test_one_table_build_per_newton_iterate(table_builds, monkeypatch):
     it = next(i for i in ITERATES if i["m"] == 21)
     state = ShapeState(StarlikeShape((0.0, 0.0), it["r0_coeffs"]),
                        StarlikeShape(it["center1"], it["r1_coeffs"]),
-                       lambda1=1e-3, tau1=1e3)
+                       lambda1=1e-3)
     state.validate_geometry()
     _, records = newton_iteration(state, dataset.values[0], 1.0, config)
     assert records[0].resolution_estimate is not None  # the ladder ran

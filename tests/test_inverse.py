@@ -15,7 +15,8 @@ from layerscat.inverse import (ShapeState, SolverConfig, apply_step,
                                choose_beta, classify_boundary, discrete_l2_sq,
                                lm_step, multi_frequency_drive,
                                newton_iteration, penalty_weights,
-                               relative_error, resolution_ladder)
+                               relative_error, resolution_ladder,
+                               transmission_slot)
 
 from _oracles import fixed_resolution_newton, hs_norm_sq
 
@@ -148,9 +149,38 @@ def test_config_validation():
 def test_form_switch_keeps_product_one():
     state = ShapeState.initial(r0=2.0, r1=0.8, lambda1=4.0, modes=2)
     assert state.lambda1 * state.tau1 == pytest.approx(1.0)
-    flipped = state.with_form("tau").with_form("lambda")
-    assert flipped.lambda1 == state.lambda1
-    assert flipped.tau1 == state.tau1
+    assert state.tau1 == 1.0 / state.lambda1
+    # tau1 is derived, so a step in either form keeps the two in step
+    for form in ("lambda", "tau"):
+        new, _, _ = apply_step(state, np.full(2 * 5 + 3, 0.01), form, True, 2)
+        assert new.active_form == form
+        assert new.tau1 == 1.0 / new.lambda1
+
+
+def test_transmission_slot():
+    assert transmission_slot(0.5, 1.0) == ("lambda", "lambda1", 1.0)
+    assert transmission_slot(-1.0, 1.0) == ("lambda", "lambda1", 1.0)
+    # tau1 = 1/lambda1: a unit step in tau1 moves lambda1 by -lambda1^2
+    assert transmission_slot(-4.0, 1.0) == ("tau", "tau1", -16.0)
+    assert transmission_slot(10.0, 1e9) == ("lambda", "lambda1", 1.0)
+
+
+def test_tau_lambda_equivalence_bitwise():
+    # the solver sees lambda1 only: a tau-form step 0.1 -> 0.2 and a
+    # lambda-form step 10 -> 5 give the same far field, bit for bit
+    state = ShapeState.initial(r0=2.0, r1=1.0, lambda1=10.0, modes=1)
+    step = np.zeros(2 * 3 + 3)
+    step[-1] = 0.1
+    via_tau, _, _ = apply_step(state, step, "tau", True, 1)
+    step[-1] = -5.0
+    via_lambda, _, _ = apply_step(state, step, "lambda", True, 1)
+    assert via_tau.lambda1 == via_lambda.lambda1 == 5.0
+    config = SolverConfig()
+    obs = observation_directions(16)
+    ff_t, ff_l = (solve_plane_wave(*s.curves(), config.medium(2.0, s.lambda1),
+                                   np.array([1.0, 0.0]), 24, obs)[0]
+                  for s in (via_tau, via_lambda))
+    assert np.array_equal(ff_l, ff_t)
 
 
 def test_apply_step_halves_and_aborts():
@@ -284,7 +314,7 @@ def test_records_carry_the_separation_after_the_step():
         moved = ShapeState(gamma0=StarlikeShape((0.0, 0.0), after.r0_coeffs),
                            gamma1=StarlikeShape(after.center1,
                                                 after.r1_coeffs),
-                           lambda1=after.lambda1, tau1=after.tau1)
+                           lambda1=after.lambda1)
         assert rec.min_separation == moved.validate_geometry()
     assert records[-1].min_separation is None
 
@@ -395,7 +425,7 @@ def test_apple_at_k0_8_resolves_with_48_or_more(monkeypatch):
     state = ShapeState(gamma0=StarlikeShape((0.0, 0.0), r0),
                        gamma1=StarlikeShape((0.0, 0.0),
                                             _fitted_starlike(truth[1], 25)),
-                       lambda1=1e6, tau1=1e-6)
+                       lambda1=1e6)
     sizes = _counting_solves(monkeypatch)
     _, records = newton_iteration(state, data, 8.0, config)
     assert records[0].err < 2e-3

@@ -14,7 +14,6 @@ from layerscat.forward import (MediumParams, assemble_system,
                                observation_directions, plane_wave_data)
 from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
                                 discretize_pair)
-from layerscat.errors import SolverError
 from layerscat.operators import (_cross_oversample, _decimate, _differences,
                                  _log_4sin2, _PairData, assemble_blocks,
                                  assemble_farfield)
@@ -42,7 +41,7 @@ def test_single_layer_constant_density_identity():
     # S[1] on the unit circle = (i pi / 2) J0(k) H0(k) at every node
     k = 2.0
     g = discretize(ParametricCurve.preset("circle", radius=1.0), 32)
-    val = assemble_blocks(g, g, k, ("S",))["S"] @ np.ones(g.size)
+    val = assemble_blocks(g, g, k)["S"] @ np.ones(g.size)
     expected = 0.5j * np.pi * ssp.jv(0, k) * ssp.hankel1(0, k)
     assert np.max(np.abs(val - expected)) < 1e-12
 
@@ -53,7 +52,7 @@ def test_double_layer_laplace_limit():
     ones = np.ones(g.size)
     vals = {}
     for k in (2e-3, 1e-3):
-        vals[k] = assemble_blocks(g, g, k, ("K",))["K"] @ ones
+        vals[k] = assemble_blocks(g, g, k)["K"] @ ones
     assert np.max(np.abs(vals[1e-3] + 0.5)) < 1e-4
     # Richardson in k^2 sharpens the limit by two orders
     extrap = (4 * vals[1e-3] - vals[2e-3]) / 3.0
@@ -65,7 +64,7 @@ def test_cross_block_against_brute_force():
     k = 2.0
     g_t = discretize(ParametricCurve.preset("circle", radius=2.4), 24)
     g_s = discretize(ParametricCurve.preset("circle", radius=0.5), 16)
-    block = assemble_blocks(g_t, g_s, k, ("S",))["S"]
+    block = assemble_blocks(g_t, g_s, k)["S"]
     dens = np.exp(np.cos(g_s.t))
     g_fine = discretize(ParametricCurve.preset("circle", radius=0.5), 2048)
     diff = g_t.x[:, None, :] - g_fine.x[None, :, :]
@@ -110,22 +109,18 @@ def test_cross_block_on_graded_grids_against_brute_force():
 def test_block_shapes_and_finiteness():
     g0 = discretize(ParametricCurve.preset("rounded_triangle"), 16)
     g1 = discretize(ParametricCurve.preset("apple"), 12)
-    b = assemble_blocks(g0, g1, 2.0, ("K",))["K"]
-    assert b.shape == (32, 24)
-    assert np.all(np.isfinite(b.view(float)))
+    b = blocks = assemble_blocks(g0, g1, 2.0)
+    assert list(blocks) == ["S", "K", "KT", "T"]
+    for b in blocks.values():
+        assert b.shape == (32, 24)
+        assert np.all(np.isfinite(b.view(float)))
 
 
 def test_close_curves_warn():
     g0 = discretize(ParametricCurve.preset("circle", radius=1.0), 16)
     g1 = discretize(ParametricCurve.preset("circle", radius=0.97), 16)
     with pytest.warns(RuntimeWarning):
-        assemble_blocks(g0, g1, 1.0, ("S",))
-
-
-def test_unknown_kind_raises():
-    g = discretize(ParametricCurve.preset("circle", radius=1.0), 8)
-    with pytest.raises(SolverError, match="unknown operator kind"):
-        assemble_blocks(g, g, 1.0, ("S", "D"))
+        assemble_blocks(g0, g1, 1.0)
 
 
 @pytest.mark.parametrize("name,k,tol", [
@@ -156,10 +151,9 @@ def test_farfield_operator_constant_density():
     dirs = np.stack([np.cos([0.0, 1.3]), np.sin([0.0, 1.3])], axis=-1)
     pref = np.exp(0.25j * np.pi) / np.sqrt(8 * np.pi * k0)
     ones = np.ones(g.size)
-    s_inf = assemble_farfield(g, k0, dirs, "S_inf")
+    s_inf, k_inf = assemble_farfield(g, k0, dirs)
     assert np.max(np.abs(s_inf @ ones
                          - pref * 2 * np.pi * ssp.jv(0, k0))) < 1e-13
-    k_inf = assemble_farfield(g, k0, dirs, "K_inf")
     # Jacobi-Anger: integral of -i k (xhat.nu) e^{-ik xhat.y} over the
     # unit circle equals -2 pi k J1(k)
     assert np.max(np.abs(k_inf @ ones
@@ -172,10 +166,13 @@ def test_farfield_prefactor_row():
     k0 = 1.7
     g = discretize(ParametricCurve.preset("circle", radius=1.0), 8)
     d = np.array([[1.0, 0.0]])
-    s_inf = assemble_farfield(g, k0, d, "S_inf")
+    s_inf, k_inf = assemble_farfield(g, k0, d)
     pref = np.exp(0.25j * np.pi) / np.sqrt(8 * np.pi * k0)
     manual = pref * (np.pi / 8) * np.exp(-1j * k0 * g.x[:, 0]) * g.speed
     assert np.max(np.abs(s_inf[0] - manual)) < 1e-15
+    # K_inf's row adds the normal derivative -i k0 (xhat . nu) of the phase
+    manual_k = (-1j * k0) * g.normal[:, 0] * manual
+    assert np.max(np.abs(k_inf[0] - manual_k)) < 1e-15
 
 
 def test_double_layer_jump_relation():
@@ -296,17 +293,17 @@ def test_cross_blocks_match_fixed_q_oracle(monkeypatch, setup, n, graded, k0):
     assemble = forward.assemble_blocks
     same_curve = {}  # assembled once, shared by both runs
 
-    def blocks(target, source, k, kinds=operators.BLOCK_KINDS):
+    def blocks(target, source, k):
         if target is not source:
-            return assemble(target, source, k, kinds)
+            return assemble(target, source, k)
         key = (id(target), k)
         if key not in same_curve:
-            same_curve[key] = assemble(target, source, k, kinds)
+            same_curve[key] = assemble(target, source, k)
         return same_curve[key]
 
-    def oracle_blocks(target, source, k, kinds=operators.BLOCK_KINDS):
+    def oracle_blocks(target, source, k):
         if target is source:
-            return blocks(target, source, k, kinds)
+            return blocks(target, source, k)
         return cross_blocks_fixed_q(target, source, k)
 
     monkeypatch.setattr(forward, "assemble_blocks", blocks)
