@@ -4,17 +4,27 @@ The scattered/total field is represented by combined single- and
 double-layer potentials on both boundaries with densities
 psi = (psi1, psi2, psi3, psi4); the jump relations turn the transmission
 conditions into a 4x4 block system (I + A) psi = R that is assembled
-densely and LU-factored once per geometry.  The matrix is built in C
-order, which is LAPACK's layout of its transpose, so the LU is taken of
-(I + A)^T with no transposing copy.  The factorization serves every
-incident direction (solved transposed) and the far-field rows that the
-Jacobian needs (solved plainly).
+densely.  With the interface unknowns (psi1, psi2) first,
+
+    I + A = [[A00, B01 D], [mu1 B10, A11]],    D = diag(lambda1 I, I),
+
+where A00 depends on lambda0, k0 and k1 only, and B01, B10 are free of
+lambda1.  The system is factored by block elimination around A00: LU(A00),
+X = A00^-1 B01 and C = B10 X once per block set and lambda0, then per
+system one LU of the buried-curve Schur complement S = A11 - mu1 C D.
+mu1 lambda1 and mu1 enter S as products, so S is well scaled at any
+lambda1 and no equilibration is needed.  Every matrix is built in C
+order, which is LAPACK's layout of its transpose, so both LUs are taken
+of the transposes with no copy.  The factorization serves every incident
+direction and the far-field rows that the Jacobian needs, by block
+substitution; the residual checks use the assembled matrix.
 
 The medium stores one transmission constant, lambda1 (finite, nonzero).
 The S/K/KT/T operator blocks depend on the grids and the wavenumbers
-only; lambda1 enters just their scalar combination and the LU.  The
-blocks of the last assembly are therefore kept and reused while the same
-grid objects (compared by identity) and the same (k0, k1, k2) recur, as
+only; lambda1 enters just their scalar combination and S.  The blocks of
+the last assembly, and the factorization of A00 on them, are therefore
+kept and reused while the same grid objects (compared by identity), the
+same (k0, k1, k2) and, for the factorization, the same lambda0 recur, as
 when one geometry is solved at several lambda1; a new grid object always
 reassembles, and so does every Newton iterate.  The blocks are shared,
 read-only arrays.  The close-curves warning comes only from an assembly
@@ -35,19 +45,20 @@ the whole chain.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 from scipy import special as ssp
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .errors import ConfigurationError, SolverError
 from .geometry import DiscretizedBoundary, ParametricCurve, discretize_pair
 from .operators import assemble_blocks, assemble_farfield
 
 LAMBDA_POLE_GUARD = 1e-6
-EQUILIBRATE_THRESHOLD = 1e3
+CHECK_WEIGHT_THRESHOLD = 1e3
 RESIDUAL_RTOL = 1e-10
 
 
@@ -66,10 +77,15 @@ class MediumParams:
     lambda1: float
 
     def __post_init__(self):
+        for name in ("k0", "k1", "k2", "lambda0", "lambda1"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if min(self.k0, self.k1, self.k2) <= 0.0:
             raise ConfigurationError("wavenumbers must be positive")
         if self.lambda0 <= 0.0:
             raise ConfigurationError("lambda0 must be positive")
+        if self.lambda1 == 0.0:
+            raise ConfigurationError("lambda1 must be nonzero")
         if abs(1.0 + self.lambda0) < LAMBDA_POLE_GUARD:
             raise ConfigurationError("lambda0 too close to -1 (mu0 pole)")
         if abs(1.0 + self.lambda1) < LAMBDA_POLE_GUARD:
@@ -79,11 +95,9 @@ class MediumParams:
     def create(cls, k0, n1, lambda0, lambda1, k2="k1"):
         """Build params from the configuration quantities.
 
-        ``lambda1`` must be nonzero; ``k2`` is the string ``"k1"`` or an
-        explicit positive wavenumber.
+        ``lambda1`` must be finite and nonzero; ``k2`` is the string
+        ``"k1"`` or an explicit positive wavenumber.
         """
-        if lambda1 == 0.0:
-            raise ConfigurationError("lambda1 must be nonzero")
         k1 = k0 * np.sqrt(n1)
         if isinstance(k2, str):
             if k2 != "k1":
@@ -154,27 +168,50 @@ class BoundaryTraces:
     duds1: np.ndarray
 
 
-# The block set of the last assembly, ((grid0, grid1, (k0, k1, k2)),
-# blocks), or None.  One slot: systems on the same grid objects and
-# wavenumbers, such as one geometry at several lambda1, share one block
-# set, and at most one set outlives the systems that use it.
+class _InterfaceFactor(NamedTuple):
+    """The lambda1-free part of the block factorization, for one lambda0:
+    the LU factors of A00^T, X = A00^-1 B01 and C = B10 X."""
+
+    lambda0: float
+    lu: tuple
+    x: np.ndarray
+    c: np.ndarray
+
+
+@dataclass(eq=False)
+class _BlockSet:
+    """The operator blocks of one assembly, keyed by its grids (by
+    identity) and wavenumbers, and the interface factorization of the
+    last system factored on them."""
+
+    grid0: DiscretizedBoundary
+    grid1: DiscretizedBoundary
+    ks: tuple
+    blocks: dict
+    interface: _InterfaceFactor | None = None
+
+
+# The block set of the last assembly, or None.  One slot: systems on the
+# same grid objects and wavenumbers, such as one geometry at several
+# lambda1, share one block set and its interface factorization, and at
+# most one set outlives the systems that use it.
 _last_blocks = None
 
 
 def _operator_blocks(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
-                     params: MediumParams):
-    """The S/K/KT/T blocks of the system: those of the last assembly when
-    its grids are these very objects and its (k0, k1, k2) are equal, else
+                     params: MediumParams) -> _BlockSet:
+    """The block set of the system: that of the last assembly when its
+    grids are these very objects and its (k0, k1, k2) are equal, else
     assembled anew.  The arrays are shared between systems and read-only."""
     global _last_blocks
     ks = (params.k0, params.k1, params.k2)
     if _last_blocks is not None:
-        (g0, g1, last_ks), blocks = _last_blocks
-        if g0 is grid0 and g1 is grid1 and last_ks == ks:
-            return blocks
+        last = _last_blocks
+        if last.grid0 is grid0 and last.grid1 is grid1 and last.ks == ks:
+            return last
         # drop the old set before building the new one, so that two sets
         # are never alive at once
-        _last_blocks = blocks = None
+        _last_blocks = last = None
     k0, k1, k2 = ks
     b0_k0 = assemble_blocks(grid0, grid0, k0)
     b0_k1 = assemble_blocks(grid0, grid0, k1)
@@ -190,8 +227,54 @@ def _operator_blocks(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
     for group in blocks.values():
         for arr in group.values():
             arr.setflags(write=False)
-    _last_blocks = ((grid0, grid1, ks), blocks)
-    return blocks
+    _last_blocks = _BlockSet(grid0, grid1, ks, blocks)
+    return _last_blocks
+
+
+def _lu_of_transpose(mat, first_column):
+    """LU factors (lu, piv) of mat^T, computed in place in the C-order
+    ``mat``, whose Fortran layout is mat^T.  LAPACK only flags an exact
+    zero pivot, so U's diagonal is checked; ``first_column`` is the index
+    of mat's first column in the full system, which the error names."""
+    lu, piv, _ = zgetrf(mat.T, overwrite_a=1)
+    zero = np.flatnonzero(np.diagonal(lu) == 0.0)
+    if zero.size:
+        raise SolverError("transmission system singular: zero pivot in "
+                          f"column {first_column + zero[0]}")
+    return lu, piv
+
+
+def _lu_solve(factors, b, trans):
+    """Solve with the LU factors of M^T: M x = b for ``trans=1``, M^T x = b
+    for ``trans=0``."""
+    x, _ = zgetrs(*factors, b, trans=trans)
+    return x
+
+
+def _factor_interface(a00, blocks, params: MediumParams) -> _InterfaceFactor:
+    """Factor the interface block ``a00`` of (I+A) and eliminate it from
+    the cross-curve coupling, from lambda1-free inputs only, so that a
+    reused factorization is bit-identical to a fresh one."""
+    mu0, la0 = params.mu0, params.lambda0
+    lu = _lu_of_transpose(a00.copy(), 0)
+    c01, c10 = blocks["01"], blocks["10"]
+    h0, h1 = c01["K"].shape
+    # B01 = [[-mu0 K, -mu0 S], [mu0 lambda0 T, mu0 lambda0 KT]] of the 01
+    # blocks, written in Fortran order so that the solve overwrites it
+    x = np.empty((2 * h1, 2 * h0), dtype=complex).T
+    np.multiply(c01["K"], -mu0, out=x[:h0, :h1])
+    np.multiply(c01["S"], -mu0, out=x[:h0, h1:])
+    np.multiply(c01["T"], mu0 * la0, out=x[h0:, :h1])
+    np.multiply(c01["KT"], mu0 * la0, out=x[h0:, h1:])
+    x, _ = zgetrs(*lu, x, trans=1, overwrite_b=1)
+    # C = B10 X with B10 = [[K, S], [-T, -KT]] of the 10 blocks
+    c = np.empty((2 * h1, 2 * h1), dtype=complex)
+    np.matmul(c10["K"], x[:h0], out=c[:h1])
+    c[:h1] += c10["S"] @ x[h0:]
+    np.matmul(c10["T"], x[:h0], out=c[h1:])
+    c[h1:] += c10["KT"] @ x[h0:]
+    np.negative(c[h1:], out=c[h1:])
+    return _InterfaceFactor(la0, lu, x, c)
 
 
 def _combine(out, scale, x, y=None, x_weight=None, y_weight=None):
@@ -227,7 +310,8 @@ class TransmissionSystem:
     def _assemble(self):
         p = self.params
         g0, g1 = self.grid0, self.grid1
-        self.blocks = _operator_blocks(g0, g1, p)
+        self._block_set = _operator_blocks(g0, g1, p)
+        self.blocks = self._block_set.blocks
 
         def m(group, kind):
             return self.blocks[group][kind]
@@ -259,43 +343,68 @@ class TransmissionSystem:
         self.matrix = a
 
     def _factor(self):
-        m = self.matrix
-        n = m.shape[0]
-        if abs(self.params.lambda1) > EQUILIBRATE_THRESHOLD:
-            col = np.max(np.abs(m), axis=0)
-            col[col == 0.0] = 1.0
-            # a private scaled copy, factored in place; self.matrix stays
-            # intact for the residuals
-            work = m / col[None, :]
-            row = np.max(np.abs(work), axis=1)
-            row[row == 0.0] = 1.0
-            work /= row[:, None]
-            self._col_scale = col
-            self._row_scale = row
-        else:
-            self._col_scale = np.ones(n)
-            self._row_scale = np.ones(n)
-            work = m
-        # the C-order matrix is the Fortran layout of its transpose, so
-        # LAPACK factors work^T with no transposing copy; solves with
-        # work then take trans=1.  An exact zero pivot only warns and
-        # leaves U singular, so U's diagonal is checked instead
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            self._lu = sla.lu_factor(work.T, overwrite_a=work is not m)
-        zero = np.flatnonzero(np.diagonal(self._lu[0]) == 0.0)
-        if zero.size:
-            raise SolverError(
-                f"transmission system singular: zero pivot in column {zero[0]}")
+        p = self.params
+        n0, n1 = 2 * self.grid0.size, self.grid1.size
+        a = self.matrix
+        block_set = self._block_set
+        iface = block_set.interface
+        if iface is None or iface.lambda0 != p.lambda0:
+            block_set.interface = None  # one interface factorization per set
+            iface = _factor_interface(a[:n0, :n0], self.blocks, p)
+            block_set.interface = iface
+        self._interface = iface
+        # S = A11 - mu1 C D, written into one new array
+        weight = np.full(2 * n1, -p.mu1)
+        weight[:n1] = -(p.mu1 * p.lambda1)
+        schur = np.multiply(iface.c, weight)
+        schur += a[n0:, n0:]
+        self._schur_lu = _lu_of_transpose(schur, n0)
+
+    def _scale_psi3(self, v):
+        """D v: the psi3 rows of ``v`` times lambda1, in place."""
+        v[:self.grid1.size] *= self.params.lambda1
+        return v
 
     def _raw_solve(self, rhs):
-        y = sla.lu_solve(self._lu, rhs / self._row_scale[:, None], trans=1)
-        return y / self._col_scale[:, None]
+        """(I+A)^-1 rhs by block substitution: x1 = S^-1 (b1 - A10 A00^-1
+        b0), then x0 = A00^-1 b0 - X D x1."""
+        n0 = 2 * self.grid0.size
+        iface = self._interface
+        x = np.empty(rhs.shape, dtype=complex)
+        z0 = _lu_solve(iface.lu, rhs[:n0], 1)
+        x[n0:] = x1 = _lu_solve(self._schur_lu,
+                                rhs[n0:] - self.matrix[n0:, :n0] @ z0, 1)
+        # X is Fortran-ordered, and BLAS multiplies by the C-ordered X^T
+        # faster than by X
+        np.subtract(z0, (self._scale_psi3(x1).T @ iface.x.T).T, out=x[:n0])
+        return x
 
     def _raw_solve_transposed(self, rhs):
-        # (I+A) = D_r S D_c, so (I+A)^T y = g is S^T (D_r y) = g / D_c
-        y = sla.lu_solve(self._lu, rhs / self._col_scale[:, None])
-        return y / self._row_scale[:, None]
+        """(I+A)^-T rhs by block substitution: y1 = S^-T (g1 - D X^T g0),
+        then y0 = A00^-T (g0 - A10^T y1)."""
+        n0 = 2 * self.grid0.size
+        iface = self._interface
+        y = np.empty(rhs.shape, dtype=complex)
+        g0 = rhs[:n0]
+        y[n0:] = y1 = _lu_solve(
+            self._schur_lu, rhs[n0:] - self._scale_psi3(iface.x.T @ g0), 0)
+        # likewise the C-ordered A10 rather than A10^T
+        a10_y1 = (y1.T @ self.matrix[n0:, :n0]).T
+        y[:n0] = _lu_solve(iface.lu, g0 - a10_y1, 0)
+        return y
+
+    @cached_property
+    def _col_scale(self):
+        """The weight of ``far_field_rows``' residual check: the largest
+        entry of each column of (I+A) when |lambda1| exceeds
+        CHECK_WEIGHT_THRESHOLD, else ones.  The psi3 columns grow with
+        lambda1, so the equations of the transposed system that they hold
+        are measured against their own size."""
+        if abs(self.params.lambda1) <= CHECK_WEIGHT_THRESHOLD:
+            return np.ones(self.matrix.shape[0])
+        col = np.max(np.abs(self.matrix), axis=0)
+        col[col == 0.0] = 1.0
+        return col
 
     def _refined(self, b, raw_solve, matvec, weight=None):
         """Solve matvec(x) = b by ``raw_solve`` with at most three
@@ -362,10 +471,10 @@ class TransmissionSystem:
         G = [lambda0 K_inf, S_inf, 0, 0] is the far-field map on the
         densities, and W^T comes from one solve with the transposed
         system on the existing factorization, n_obs columns in all.  Its
-        refinement check is taken in the equilibrated coordinates the LU
-        factors (residual and right-hand side divided by the column
-        scale), which is the check of ``solve_stacked`` when no
-        equilibration applies.
+        refinement check divides residual and right-hand side by the
+        largest entry of each column of (I+A) once |lambda1| exceeds
+        CHECK_WEIGHT_THRESHOLD, and below that is the check of
+        ``solve_stacked``.
         """
         s_mat, k_mat = self.farfield_maps(directions)
         g = np.zeros((self.matrix.shape[0], s_mat.shape[0]), dtype=complex)
@@ -403,7 +512,7 @@ class TransmissionSystem:
 
 def assemble_system(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
                     params: MediumParams) -> TransmissionSystem:
-    """Assemble and LU-factor the 4-block transmission system."""
+    """Assemble and factor the 4-block transmission system."""
     return TransmissionSystem(grid0, grid1, params)
 
 

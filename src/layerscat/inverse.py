@@ -305,6 +305,10 @@ def transmission_slot(lambda1: float, lambda_switch: float):
 def _candidate_state(state: ShapeState, delta, form: str,
                      include_center: bool, modes: int) -> ShapeState:
     nr = 2 * modes + 1
+    size = 2 * nr + 2 * include_center + 1
+    if len(delta) != size:
+        raise ConfigurationError(
+            f"step has {len(delta)} entries, the unknown layout {size}")
     c0 = state.gamma0.coeffs + delta[:nr]
     c1 = state.gamma1.coeffs + delta[nr:2 * nr]
     if include_center:

@@ -9,7 +9,8 @@ Fourier mode for starlike radii, node-map densities and the radial
 normal components, an all-pairs self-crossing test for one closed
 curve, a one-candidate-at-a-time Newton loop for the
 closest approaches of a curve pair, the direct Jacobian path (one solve per
-derivative problem) for the far-field-rows Jacobian, the Dirichlet
+derivative problem) for the far-field-rows Jacobian, one equilibrated LU
+of the whole transmission matrix for its block factorization, the Dirichlet
 kernel for the cross-block decimation, the cross-curve blocks at one
 fixed oversampling for every pair, and a Newton loop at one fixed
 resolution for the resolution ladder.  The Hankel,
@@ -22,14 +23,16 @@ them.
 import dataclasses
 import functools
 import json
+import warnings
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
+import scipy.linalg as sla
 from scipy import special as ssp
 
 from layerscat.errors import ConfigurationError, DomainError, SolverError
-from layerscat.forward import DensityVector
+from layerscat.forward import DensityVector, TransmissionSystem
 from layerscat.frechet import derivative_boundary_data
 from layerscat.geometry import discretize
 from layerscat.specfun import bessel_j0j1y0y1
@@ -279,8 +282,7 @@ def direct_derivative_far_field(system, traces, directions, obs_directions,
 
     ``check=False`` takes the same factorization and three refinement
     steps without the residual check, which near-zero columns of a
-    strongly equilibrated system (|lambda1| ~ 1e6) can fail at roundoff
-    level.
+    system at |lambda1| ~ 1e6 can fail at roundoff level.
     """
     data = derivative_boundary_data(traces, directions, system.params,
                                     system.grid0, system.grid1)
@@ -292,6 +294,45 @@ def direct_derivative_far_field(system, traces, directions, obs_directions,
         x = x + system._raw_solve(b - system.matrix @ x)
     dens = DensityVector.from_stacked(x, system.grid0.size, system.grid1.size)
     return system.far_field(dens, obs_directions)
+
+
+class FullLUSystem(TransmissionSystem):
+    """The transmission system factored the direct way: one LU of the
+    whole (I+A)^T, taken of D_r^-1 (I+A) D_c^-1 (largest entry of each
+    column, then of each row, scaled to one) when |lambda1| > 1e3.
+    Assembly, refinement, residual checks (weighted by the same column
+    scale in ``far_field_rows``), far fields and traces are the
+    package's."""
+
+    def _factor(self):
+        m = self.matrix
+        n = m.shape[0]
+        if abs(self.params.lambda1) > 1e3:
+            col = np.max(np.abs(m), axis=0)
+            col[col == 0.0] = 1.0
+            work = m / col[None, :]
+            row = np.max(np.abs(work), axis=1)
+            row[row == 0.0] = 1.0
+            work /= row[:, None]
+        else:
+            col, row, work = np.ones(n), np.ones(n), m
+        self._col_scale, self._row_scale = col, row
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            self._lu = sla.lu_factor(work.T, overwrite_a=work is not m)
+        zero = np.flatnonzero(np.diagonal(self._lu[0]) == 0.0)
+        if zero.size:
+            raise SolverError(
+                f"transmission system singular: zero pivot in column {zero[0]}")
+
+    def _raw_solve(self, rhs):
+        y = sla.lu_solve(self._lu, rhs / self._row_scale[:, None], trans=1)
+        return y / self._col_scale[:, None]
+
+    def _raw_solve_transposed(self, rhs):
+        # (I+A) = D_r S D_c, so (I+A)^T y = g is S^T (D_r y) = g / D_c
+        y = sla.lu_solve(self._lu, rhs / self._col_scale[:, None])
+        return y / self._row_scale[:, None]
 
 
 def hankel1_01(x):

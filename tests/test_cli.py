@@ -197,3 +197,26 @@ def test_invalid_initial_geometry_exits_one(tmp_path, small_config_path,
                  "--init-r0", "1", "--init-r1", "2", "--out", str(out)]) == 1
     assert "input error" in capsys.readouterr().err
     assert not (out / "trace.json").exists()
+
+
+def test_non_finite_truth_lambda1_exits_one(tmp_path, small_config_path,
+                                            capsys):
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(small_config_path),
+                 "--truth-outer", "circle:2.0", "--truth-inner", "circle:0.8",
+                 "--truth-lambda1", "nan", "--out", str(out)]) == 1
+    assert "lambda1 must be finite" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
+def test_non_finite_initial_lambda1_exits_one(tmp_path, small_config_path,
+                                              capsys):
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(small_config_path),
+                 "--truth-outer", "circle:2.0", "--truth-inner", "circle:0.8",
+                 "--truth-lambda1", "2.0", "--out", str(out)]) == 0
+    assert main(["invert", "--config", str(small_config_path),
+                 "--data", str(out / "dataset.csv"),
+                 "--init-lambda1", "inf", "--out", str(out)]) == 1
+    assert "lambda1 must be finite" in capsys.readouterr().err
+    assert not (out / "trace.json").exists()

@@ -15,7 +15,10 @@ from layerscat.forward import (BoundaryData, MediumParams, TransmissionSystem,
                                assemble_system, observation_directions,
                                oracle_concentric_circles, plane_wave_data,
                                solve_plane_wave)
-from layerscat.geometry import ParametricCurve, StarlikeShape, discretize
+from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
+                                discretize_pair)
+
+from _oracles import FullLUSystem
 
 
 def _params(k0=2.0, lambda1=2.0, **kw):
@@ -32,44 +35,64 @@ def test_medium_params_create():
     assert p.mu1 == pytest.approx(2.0 / 3.0)
     with pytest.raises(ConfigurationError, match="nonzero"):
         MediumParams.create(k0=2.0, n1=0.64, lambda0=1.2, lambda1=0.0)
+    with pytest.raises(ConfigurationError, match="nonzero"):
+        MediumParams(k0=2.0, k1=1.6, k2=1.6, lambda0=1.2, lambda1=0.0)
     with pytest.raises(ConfigurationError):
         MediumParams.create(k0=2.0, n1=0.64, lambda0=1.2, lambda1=-1.0 + 1e-9)
     with pytest.raises(ConfigurationError):
         MediumParams.create(k0=-1.0, n1=0.64, lambda0=1.2, lambda1=1.0)
 
 
-@pytest.mark.parametrize("lambda1", [2.0, 1e6])  # plain and equilibrated LU
+@pytest.mark.parametrize("lambda1", [2.0, 1e6])
 @pytest.mark.parametrize("block", [0, 2])  # a psi1 and a psi3 column
 def test_singular_system_raises_solver_error(monkeypatch, block, lambda1):
-    # LAPACK only warns on an exact zero pivot; the system must fail typed
-    assemble = TransmissionSystem._assemble
+    """LAPACK only flags an exact zero pivot; the system must fail typed.
+    A zero psi1 column makes the interface block A00 singular, a zero psi3
+    column the Schur complement S, and the error names a column of that
+    factor in the numbering of the whole system."""
+    g0 = discretize(ParametricCurve.preset("rounded_triangle"), 8)
+    g1 = discretize(ParametricCurve.preset("apple"), 8)
+    assemble, blocks = TransmissionSystem._assemble, forward.assemble_blocks
 
     def zero_column(self):
         assemble(self)
         self.matrix[:, block * self.grid0.size] = 0.0
 
+    def zero_coupling(target, source, k):
+        # S is built from the lambda1-free coupling blocks, not from the
+        # matrix, so a psi3 column must vanish from them too
+        out = blocks(target, source, k)
+        if block == 2 and target is g0 and source is g1:
+            out["K"][:, 0] = out["T"][:, 0] = 0.0
+        return out
+
+    monkeypatch.setattr(forward, "_last_blocks", None)
+    monkeypatch.setattr(forward, "assemble_blocks", zero_coupling)
     monkeypatch.setattr(TransmissionSystem, "_assemble", zero_column)
-    g0 = discretize(ParametricCurve.preset("rounded_triangle"), 8)
-    g1 = discretize(ParametricCurve.preset("apple"), 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SolverError, match="singular"):
+        with pytest.raises(SolverError, match="singular") as info:
             assemble_system(g0, g1, _params(lambda1=lambda1))
+    reported = int(str(info.value).rsplit(" ", 1)[1])
+    assert (reported >= 2 * g0.size) == (block == 2)
+    assert reported < 2 * (g0.size + g1.size)
 
 
 @pytest.mark.parametrize("lambda1,equilibrated", [(2.0, False), (1e6, True)])
 def test_solves_match_dense_solve_of_the_system_and_its_transpose(
         lambda1, equilibrated):
-    # the LU is taken of the transpose: solve_stacked uses it transposed
-    # and far_field_rows plainly, with and without equilibration.  The
-    # references are dense solves of D_r^-1 (I+A) D_c^-1 with the system's
-    # scales (identities without equilibration); at lambda1 = 1e6 a dense
-    # solve of the unscaled matrix is itself off by 4e-11
+    # solve_stacked and far_field_rows against dense solves of D_r^-1
+    # (I+A) D_c^-1 and its transpose, with the scales of the full-LU
+    # oracle (identities at lambda1 = 2); at lambda1 = 1e6 a dense solve
+    # of the unscaled matrix is itself off by 4e-11.  far_field_rows
+    # weighs its check by the oracle's column scale
     g0 = discretize(ParametricCurve.preset("rounded_triangle"), 24)
     g1 = discretize(ParametricCurve.preset("apple"), 20)
     system = assemble_system(g0, g1, _params(k0=3.0, lambda1=lambda1))
-    col, row = system._col_scale, system._row_scale
+    oracle = FullLUSystem(g0, g1, system.params)
+    col, row = oracle._col_scale, oracle._row_scale
     assert np.any(col != 1.0) == equilibrated
+    assert np.array_equal(system._col_scale, col)
     scaled = system.matrix / row[:, None] / col[None, :]
     rng = np.random.default_rng(3)
     size = system.matrix.shape[0]
@@ -277,8 +300,9 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("lambda1", [1e-6, 1e6])
 def test_block_reuse_is_exact(block_calls, lambda1):
     """Another lambda1 on the same grids and k assembles no block, and the
-    system equals one built from freshly assembled blocks bit for bit;
-    1e-6 and 1e6 take the plain and the equilibrated factorization."""
+    system equals one built from freshly assembled blocks and a fresh
+    interface factorization bit for bit, at the sound-hard and the
+    sound-soft stand-in."""
     g0, g1 = _pair()
     first = assemble_system(g0, g1, _params(lambda1=2.0))
     assert len(block_calls) == 5
@@ -389,3 +413,109 @@ def test_close_pair_warns_only_when_blocks_are_assembled(block_calls):
         warnings.simplefilter("error")
         assemble_system(g0, g1, _params(k0=1.0, lambda1=5.0))
     assert len(block_calls) == 5
+
+
+@pytest.mark.parametrize("field", ["k0", "k1", "k2", "lambda0", "lambda1"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_medium_params_reject_non_finite(field, value):
+    good = dict(k0=2.0, k1=1.6, k2=1.6, lambda0=1.2, lambda1=2.0)
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        MediumParams(**{**good, field: value})
+    if field in ("k0", "lambda0", "lambda1"):
+        with pytest.raises(ConfigurationError, match="finite"):
+            MediumParams.create(**{"k0": 2.0, "n1": 0.64, "lambda0": 1.2,
+                                   "lambda1": 2.0, field: value})
+
+
+@pytest.mark.parametrize("lambda1", [1e-6, 2.0, 1e4, 1e6, 1e8])
+def test_block_factorization_matches_full_lu_oracle(block_calls, lambda1):
+    """Solves, far-field rows and traces of the block factorization equal
+    those of one (equilibrated) LU of the whole matrix to 1e-12, from the
+    sound-hard to the sound-soft stand-in, on the graded kite/square
+    pair."""
+    g0, g1 = discretize_pair(ParametricCurve.preset("rounded_square"),
+                             ParametricCurve.preset("kite"), 32)
+    assert g1.node_map is not None
+    params = _params(k0=3.0, lambda1=lambda1)
+    system = assemble_system(g0, g1, params)
+    oracle = FullLUSystem(g0, g1, params)
+    assert oracle.blocks is system.blocks
+
+    def close(got, ref):
+        return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    data = plane_wave_data(g0, g1, 3.0, observation_directions(3))
+    # the raw solves too: refinement would hide an inexact factorization
+    rhs = data.stacked(params.mu0, params.mu1)
+    assert close(system._raw_solve(rhs), oracle._raw_solve(rhs))
+    assert close(system._raw_solve_transposed(rhs),
+                 oracle._raw_solve_transposed(rhs))
+    dens, dens_ref = system.solve(data), oracle.solve(data)
+    for got, ref in zip(vars(dens).values(), vars(dens_ref).values()):
+        assert close(got, ref)
+    for got, ref in zip(vars(system.boundary_traces(dens)).values(),
+                        vars(oracle.boundary_traces(dens_ref)).values()):
+        assert close(got, ref)
+    obs = observation_directions(16)
+    assert close(system.far_field_rows(obs), oracle.far_field_rows(obs))
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Record the order of every LU factorization the forward solver
+    runs."""
+    sizes = []
+    getrf = forward.zgetrf
+
+    def counted(a, **kwargs):
+        sizes.append(a.shape[0])
+        return getrf(a, **kwargs)
+
+    monkeypatch.setattr(forward, "zgetrf", counted)
+    return sizes
+
+
+def test_new_lambda1_factors_only_the_schur_complement(block_calls,
+                                                       factorizations):
+    """The first system on a block set factors the interface block
+    (order 2 n0) and S (order 2 n1); a further lambda1 assembles no block
+    and factors S alone, and a new lambda0 factors the interface again
+    without assembling."""
+    g0, g1 = discretize(ParametricCurve.preset("rounded_triangle"), 12), \
+        discretize(ParametricCurve.preset("apple"), 10)
+    first = assemble_system(g0, g1, _params(lambda1=1e-6))
+    assert len(block_calls) == 5
+    assert factorizations == [2 * g0.size, 2 * g1.size]
+    block_calls.clear(), factorizations.clear()
+    again = assemble_system(g0, g1, _params(lambda1=1e6))
+    assert block_calls == [] and factorizations == [2 * g1.size]
+    assert again._interface is first._interface
+    factorizations.clear()
+    other = assemble_system(g0, g1, MediumParams.create(
+        k0=2.0, n1=0.64, lambda0=1.5, lambda1=1e6))
+    assert block_calls == []
+    assert factorizations == [2 * g0.size, 2 * g1.size]
+    assert other._interface is not first._interface
+    assert forward._last_blocks.interface is other._interface
+
+
+def test_interface_factorization_is_freed_with_its_blocks(block_calls,
+                                                          monkeypatch):
+    """A miss drops the stored interface factorization together with the
+    blocks, before the first new block is built."""
+    g0, g1 = _pair()
+    system = assemble_system(g0, g1, _params())
+    old = weakref.ref(system._interface.c)
+    del system
+    assert old() is not None  # held by the memo alone
+    alive_at_first_call = []
+    counted = forward.assemble_blocks
+
+    def probe(*args, **kwargs):
+        if not alive_at_first_call:
+            alive_at_first_call.append(old() is not None)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "assemble_blocks", probe)
+    assemble_system(g0, g1, _params(k0=3.0))
+    assert alive_at_first_call == [False]

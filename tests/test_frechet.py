@@ -239,9 +239,10 @@ def test_jacobian_is_one_solve_in_the_per_pair_layout(monkeypatch):
 @pytest.mark.parametrize("lambda1", [1e-6, 1.0, 1e4, 1e6])
 def test_jacobian_matches_direct_solves(lambda1, form):
     # the graded kite/rounded-square pair, two incident directions, from
-    # the sound-hard to the sound-soft stand-in; at 1e4 and 1e6 the
-    # system is equilibrated, and at 1e6 near-zero columns of the direct
-    # solves can miss their own residual check at roundoff level
+    # the sound-hard to the sound-soft stand-in; at 1e4 and 1e6 the far-
+    # field rows weigh their residual check by the column scale, and at
+    # 1e6 near-zero columns of the direct solves can miss their own
+    # residual check at roundoff level
     obs = observation_directions(32)
     params = MediumParams.create(k0=1.0, n1=0.64, lambda0=1.2,
                                  lambda1=lambda1)

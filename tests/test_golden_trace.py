@@ -11,7 +11,8 @@ fixed when BLAS loads): a blocked product sums in another order on more
 threads, and over a dozen Newton steps that moves the tau-form lambda1 by
 up to 1e-11.  Re-record ``data/golden_traces.json`` only for a change
 that is meant to move the traces, with
-``OPENBLAS_NUM_THREADS=1 python tests/test_golden_trace.py --record``.
+``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden_trace.py
+--record`` from the root of a checkout.
 """
 
 import json

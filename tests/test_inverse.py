@@ -200,18 +200,19 @@ def test_apply_step_halves_and_aborts():
 
 def test_apply_step_nudges_lambda_pole():
     state = ShapeState.initial(r0=2.0, r1=0.8, lambda1=-0.9, modes=1)
-    delta = np.zeros(7)
+    delta = np.zeros(2 * 3 + 3)  # modes = 1, centre updates on
     delta[-1] = -0.1  # lands exactly on the mu1 pole at -1
     new, _, _ = apply_step(state, delta, "lambda", True, 1)
     assert abs(1.0 + new.lambda1) >= 1e-6
     assert new.lambda1 * new.tau1 == pytest.approx(1.0)
+    assert np.array_equal(new.gamma1.center, state.gamma1.center)
 
 
 def test_apply_step_halves_only_on_geometry_errors(monkeypatch):
     import layerscat.inverse as inv
 
     state = ShapeState.initial(r0=2.0, r1=0.8, lambda1=4.0, modes=1)
-    delta = np.zeros(7)
+    delta = np.zeros(2 * 3 + 3)  # modes = 1, centre updates on
     delta[0] = 0.1
     real_validate = inv.validate_pair
     calls = []
@@ -226,6 +227,7 @@ def test_apply_step_halves_only_on_geometry_errors(monkeypatch):
     new, halvings, separation = apply_step(state, delta, "lambda", True, 1)
     assert halvings == 1 and len(calls) == 2
     assert new.gamma0.coeffs[0] == 2.05
+    assert np.array_equal(new.gamma1.center, state.gamma1.center)
     assert separation == pytest.approx(2.05 - 0.8, rel=1e-3)
 
     def broken(outer, inner):
@@ -234,6 +236,15 @@ def test_apply_step_halves_only_on_geometry_errors(monkeypatch):
     monkeypatch.setattr(inv, "validate_pair", broken)
     with pytest.raises(RuntimeError, match="not a geometry failure"):
         apply_step(state, delta, "lambda", True, 1)
+
+
+@pytest.mark.parametrize("size,include_center", [(7, True), (9, False),
+                                                  (8, True)])
+def test_apply_step_rejects_a_step_of_the_wrong_length(size, include_center):
+    # modes = 1: 3 + 3 radial entries, 2 centre entries if updated, 1 slot
+    state = ShapeState.initial(r0=2.0, r1=0.8, lambda1=4.0, modes=1)
+    with pytest.raises(ConfigurationError, match="unknown layout"):
+        apply_step(state, np.zeros(size), "lambda", include_center, 1)
 
 
 def test_penalty_symmetry_of_step():

@@ -271,7 +271,8 @@ CROSS_CASES = sorted(set(
 
 def _far_fields(g0, g1, k0):
     """Far fields (3 incident, 64 observation directions) at lambda1 =
-    1e-6 and 1e6 (plain and equilibrated LU) from fresh blocks."""
+    1e-6 and 1e6 (the sound-hard and sound-soft stand-ins) from fresh
+    blocks."""
     obs = observation_directions(64)
     out = []
     for lambda1 in (1e-6, 1e6):
