@@ -3,30 +3,44 @@
 The scattered/total field is represented by combined single- and
 double-layer potentials on both boundaries with densities
 psi = (psi1, psi2, psi3, psi4); the jump relations turn the transmission
-conditions into a 4x4 block system (I + A) psi = R that is assembled
-densely.  With the interface unknowns (psi1, psi2) first,
+conditions into a 4x4 block system (I + A) psi = R.  The operators come
+as six groups, one C-order matrix G = [[K, S], [T, KT]] per (target,
+source, wavenumber): 0k0, 0k1 (interface, k0 and k1), 1k1, 1k2 (buried
+curve, k1 and k2; one group when k2 = k1), 01 and 10 (cross-curve, k1).
+With the interface unknowns (psi1, psi2) first,
 
     I + A = [[A00, B01 D], [mu1 B10, A11]],    D = diag(lambda1 I, I),
 
-where A00 depends on lambda0, k0 and k1 only, and B01, B10 are free of
-lambda1.  The system is factored by block elimination around A00: LU(A00),
-X = A00^-1 B01 and C = B10 X once per block set and lambda0, then per
-system one LU of the buried-curve Schur complement S = A11 - mu1 C D.
-mu1 lambda1 and mu1 enter S as products, so S is well scaled at any
-lambda1 and no equilibration is needed.  Every matrix is built in C
-order, which is LAPACK's layout of its transpose, so both LUs are taken
-of the transposes with no copy.  The factorization serves every incident
-direction and the far-field rows that the Jacobian needs, by block
-substitution; the residual checks use the assembled matrix.
+and every piece is a group with scalar quadrant weights:
+
+    A00 = I + mu0 diag(I, -I) G0k0 diag(lambda0 I, I)
+            - mu0 diag(I, -lambda0 I) G0k1,
+    B01 = diag(-mu0 I, mu0 lambda0 I) G01,    B10 = diag(I, -I) G10,
+
+and A11 likewise from G1k1, G1k2 with mu1 and lambda1.  A00 depends on
+lambda0, k0 and k1 only, and B01, B10 are free of lambda1.  (I+A) is
+never assembled: the system is factored by block elimination around
+A00, LU(A00) (built in one array and factored in place) and C = B10 X,
+X = A00^-1 B01, once per block set and lambda0, with X freed once C is
+formed; then per system one LU of the buried-curve Schur complement
+S = A11 - mu1 C D, built in place.  mu1 lambda1 and mu1 enter S as
+products, so S is well scaled at any lambda1 and no equilibration is
+needed.  Every matrix is built in C order, which is LAPACK's layout of
+its transpose, so both LUs are taken of the transposes with no copy.
+The factorization serves every incident direction and the far-field
+rows that the Jacobian needs, by block substitution (two solves with
+A00 per solve); the residual checks apply (I+A) and (I+A)^T as one
+product per group.  The dense matrix is assembled only on demand, for
+the condition estimate of a failed solve.
 
 The medium stores one transmission constant, lambda1 (finite, nonzero).
-The S/K/KT/T operator blocks depend on the grids and the wavenumbers
-only; lambda1 enters just their scalar combination and S.  The blocks of
-the last assembly, and the factorization of A00 on them, are therefore
-kept and reused while the same grid objects (compared by identity), the
-same (k0, k1, k2) and, for the factorization, the same lambda0 recur, as
-when one geometry is solved at several lambda1; a new grid object always
-reassembles, and so does every Newton iterate.  The blocks are shared,
+The operator groups depend on the grids and the wavenumbers only;
+lambda1 enters just their scalar weights and S.  The groups of the last
+assembly, and the factorization of A00 on them, are therefore kept and
+reused while the same grid objects (compared by identity), the same
+(k0, k1, k2) and, for the factorization, the same lambda0 recur, as when
+one geometry is solved at several lambda1; a new grid object always
+reassembles, and so does every Newton iterate.  The groups are shared,
 read-only arrays.  The close-curves warning comes only from an assembly
 that actually runs.
 
@@ -95,9 +109,12 @@ class MediumParams:
     def create(cls, k0, n1, lambda0, lambda1, k2="k1"):
         """Build params from the configuration quantities.
 
-        ``lambda1`` must be finite and nonzero; ``k2`` is the string
-        ``"k1"`` or an explicit positive wavenumber.
+        ``n1`` must be positive and finite, ``lambda1`` finite and
+        nonzero; ``k2`` is the string ``"k1"`` or an explicit positive
+        wavenumber.
         """
+        if not (np.isfinite(n1) and n1 > 0.0):
+            raise ConfigurationError(f"n1 must be positive and finite, got {n1}")
         k1 = k0 * np.sqrt(n1)
         if isinstance(k2, str):
             if k2 != "k1":
@@ -170,17 +187,16 @@ class BoundaryTraces:
 
 class _InterfaceFactor(NamedTuple):
     """The lambda1-free part of the block factorization, for one lambda0:
-    the LU factors of A00^T, X = A00^-1 B01 and C = B10 X."""
+    the LU factors of A00^T and C = B10 A00^-1 B01."""
 
     lambda0: float
     lu: tuple
-    x: np.ndarray
     c: np.ndarray
 
 
 @dataclass(eq=False)
 class _BlockSet:
-    """The operator blocks of one assembly, keyed by its grids (by
+    """The operator groups of one assembly, keyed by its grids (by
     identity) and wavenumbers, and the interface factorization of the
     last system factored on them."""
 
@@ -202,7 +218,7 @@ def _operator_blocks(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
                      params: MediumParams) -> _BlockSet:
     """The block set of the system: that of the last assembly when its
     grids are these very objects and its (k0, k1, k2) are equal, else
-    assembled anew.  The arrays are shared between systems and read-only."""
+    assembled anew.  The groups are shared between systems and read-only."""
     global _last_blocks
     ks = (params.k0, params.k1, params.k2)
     if _last_blocks is not None:
@@ -224,9 +240,6 @@ def _operator_blocks(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
     c10 = assemble_blocks(grid1, grid0, k1)
     blocks = {"0k0": b0_k0, "0k1": b0_k1, "1k1": b1_k1, "1k2": b1_k2,
               "01": c01, "10": c10}
-    for group in blocks.values():
-        for arr in group.values():
-            arr.setflags(write=False)
     _last_blocks = _BlockSet(grid0, grid1, ks, blocks)
     return _last_blocks
 
@@ -251,52 +264,53 @@ def _lu_solve(factors, b, trans):
     return x
 
 
-def _factor_interface(a00, blocks, params: MediumParams) -> _InterfaceFactor:
-    """Factor the interface block ``a00`` of (I+A) and eliminate it from
-    the cross-curve coupling, from lambda1-free inputs only, so that a
-    reused factorization is bit-identical to a fresh one."""
-    mu0, la0 = params.mu0, params.lambda0
-    lu = _lu_of_transpose(a00.copy(), 0)
-    c01, c10 = blocks["01"], blocks["10"]
-    h0, h1 = c01["K"].shape
-    # B01 = [[-mu0 K, -mu0 S], [mu0 lambda0 T, mu0 lambda0 KT]] of the 01
-    # blocks, written in Fortran order so that the solve overwrites it
-    x = np.empty((2 * h1, 2 * h0), dtype=complex).T
-    np.multiply(c01["K"], -mu0, out=x[:h0, :h1])
-    np.multiply(c01["S"], -mu0, out=x[:h0, h1:])
-    np.multiply(c01["T"], mu0 * la0, out=x[h0:, :h1])
-    np.multiply(c01["KT"], mu0 * la0, out=x[h0:, h1:])
-    x, _ = zgetrs(*lu, x, trans=1, overwrite_b=1)
-    # C = B10 X with B10 = [[K, S], [-T, -KT]] of the 10 blocks
-    c = np.empty((2 * h1, 2 * h1), dtype=complex)
-    np.matmul(c10["K"], x[:h0], out=c[:h1])
-    c[:h1] += c10["S"] @ x[h0:]
-    np.matmul(c10["T"], x[:h0], out=c[h1:])
-    c[h1:] += c10["KT"] @ x[h0:]
-    np.negative(c[h1:], out=c[h1:])
-    return _InterfaceFactor(la0, lu, x, c)
+def _scale_halves(v, scales, out=None):
+    """diag(a I, b I) v for ``scales`` = (a, b), written into ``out`` (by
+    default in place in ``v``)."""
+    out = v if out is None else out
+    half = v.shape[0] // 2
+    np.multiply(v[:half], scales[0], out=out[:half])
+    np.multiply(v[half:], scales[1], out=out[half:])
+    return out
 
 
-def _combine(out, scale, x, y=None, x_weight=None, y_weight=None):
-    """Write scale * x, or scale * (x_weight * x - y_weight * y) with
-    either weight left out, into ``out``: no temporaries, and the order
-    of operations of that expression."""
-    if y is None:
-        np.multiply(x, scale, out=out)
-        return
-    if x_weight is not None:
-        np.multiply(x, x_weight, out=out)
-        np.subtract(out, y, out=out)
-    elif y_weight is not None:
-        np.multiply(y, y_weight, out=out)
-        np.subtract(x, out, out=out)
-    else:
-        np.subtract(x, y, out=out)
-    out *= scale
+class _Term(NamedTuple):
+    """One operator group's place in (I+A) - I: diag(a I, b I) G diag(c I,
+    d I) at (row, col) of the 2x2 partition interface/buried, with G's K
+    and KT quadrants alone where ``diagonal``."""
+
+    row: int
+    col: int
+    row_scales: tuple  # (a, b)
+    col_scales: tuple  # (c, d)
+    diagonal: bool = False
+
+
+def _system_terms(params: MediumParams, blocks) -> dict:
+    """{group name: _Term} of (I+A) - I.  With k2 = k1 both terms of A11
+    take one group, and its S and T quadrants cancel exactly, so the two
+    make one block-diagonal term."""
+    mu0, mu1 = params.mu0, params.mu1
+    la0, la1 = params.lambda0, params.lambda1
+    terms = {"0k0": _Term(0, 0, (mu0, -mu0), (la0, 1.0)),
+             "0k1": _Term(0, 0, (-mu0, mu0 * la0), (1.0, 1.0)),
+             "01": _Term(0, 1, (-mu0, mu0 * la0), (la1, 1.0)),
+             "10": _Term(1, 0, (mu1, -mu1), (1.0, 1.0)),
+             "1k1": _Term(1, 1, (mu1, -mu1), (la1, 1.0)),
+             "1k2": _Term(1, 1, (-mu1, mu1 * la1), (1.0, 1.0))}
+    if blocks["1k2"] is blocks["1k1"]:
+        del terms["1k2"]
+        kappa = mu1 * la1 - mu1
+        terms["1k1"] = _Term(1, 1, (kappa, kappa), (1.0, 1.0), True)
+    return terms
 
 
 class TransmissionSystem:
-    """Assembled and factored discrete system for one geometry/medium."""
+    """The factored discrete system for one geometry/medium.
+
+    (I+A) is never assembled: it is the identity plus one term per
+    operator group (``_system_terms``), and every product, block and
+    residual is taken from the groups."""
 
     def __init__(self, grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
                  params: MediumParams):
@@ -304,93 +318,134 @@ class TransmissionSystem:
         self.grid1 = grid1
         self.params = params
         self._ff_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        self._assemble()
+        self._block_set = _operator_blocks(grid0, grid1, params)
+        self.blocks = self._block_set.blocks
+        self._terms = _system_terms(params, self.blocks)
         self._factor()
 
-    def _assemble(self):
+    def _cut(self, block):
+        """The rows or columns of block 0 (interface) or 1 (buried) in the
+        stacked unknowns."""
+        n0 = 2 * self.grid0.size
+        return slice(0, n0) if block == 0 else slice(n0, None)
+
+    def _add_block(self, row, col, out):
+        """Add block (row, col) of (I+A) to ``out``, one quadrant of one
+        group at a time."""
+        scratch = None
+        for name, term in self._terms.items():
+            if (term.row, term.col) != (row, col):
+                continue
+            g = self.blocks[name].g
+            m, n = g.shape[0] // 2, g.shape[1] // 2
+            for i, a in enumerate(term.row_scales):
+                for j, b in enumerate(term.col_scales):
+                    if term.diagonal and i != j:
+                        continue
+                    quad = (slice(i * m, (i + 1) * m), slice(j * n, (j + 1) * n))
+                    if scratch is None:
+                        scratch = np.empty((m, n), dtype=complex)
+                    np.multiply(g[quad], a * b, out=scratch)
+                    out[quad] += scratch
+        if row == col:
+            diag = np.arange(out.shape[0])
+            out[diag, diag] += 1.0
+        return out
+
+    def _dense(self):
+        """(I+A) as one dense array, assembled on demand: for the
+        condition estimate of a failed solve and for tests."""
+        size = 2 * (self.grid0.size + self.grid1.size)
+        a = np.zeros((size, size), dtype=complex)
+        for row in (0, 1):
+            for col in (0, 1):
+                self._add_block(row, col, a[self._cut(row), self._cut(col)])
+        return a
+
+    def _product(self, name, v, transposed=False):
+        """The product of group ``name``'s term of A with ``v`` (or of its
+        transpose, the term of A^T): one product with the group, or with
+        each of its K and KT quadrants for a diagonal term."""
+        term = self._terms[name]
+        g, row_scales, col_scales = (self.blocks[name].g, term.row_scales,
+                                     term.col_scales)
+        if transposed:
+            g, row_scales, col_scales = g.T, col_scales, row_scales
+        if col_scales != (1.0, 1.0):
+            v = _scale_halves(v, col_scales, np.empty_like(v))
+        if not term.diagonal:
+            return _scale_halves(g @ v, row_scales)
+        m = g.shape[0] // 2
+        u = np.empty(v.shape, dtype=complex)
+        np.matmul(g[:m, :m], v[:m], out=u[:m])
+        np.matmul(g[m:, m:], v[m:], out=u[m:])
+        return _scale_halves(u, row_scales)
+
+    def _apply(self, x, transposed=False):
+        """(I+A) x, or (I+A)^T x, from one product per group."""
+        out = x.copy()
+        for name, term in self._terms.items():
+            r, c = (term.col, term.row) if transposed else (term.row, term.col)
+            out[self._cut(r)] += self._product(name, x[self._cut(c)],
+                                               transposed)
+        return out
+
+    def _factor_interface(self) -> _InterfaceFactor:
+        """Factor the interface block A00 of (I+A) in place and eliminate
+        it from the cross-curve coupling, from lambda1-free inputs only, so
+        that a reused factorization is bit-identical to a fresh one."""
         p = self.params
-        g0, g1 = self.grid0, self.grid1
-        self._block_set = _operator_blocks(g0, g1, p)
-        self.blocks = self._block_set.blocks
-
-        def m(group, kind):
-            return self.blocks[group][kind]
-
-        mu0, mu1, la0, la1 = p.mu0, p.mu1, p.lambda0, p.lambda1
-        cuts = np.cumsum([0, g0.size, g0.size, g1.size, g1.size])
-        a = np.empty((cuts[-1], cuts[-1]), dtype=complex)
-
-        def at(i, j):
-            return a[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]]
-
-        _combine(at(0, 0), mu0, m("0k0", "K"), m("0k1", "K"), x_weight=la0)
-        _combine(at(0, 1), mu0, m("0k0", "S"), m("0k1", "S"))
-        _combine(at(0, 2), -mu0 * la1, m("01", "K"))
-        _combine(at(0, 3), -mu0, m("01", "S"))
-        _combine(at(1, 0), -mu0 * la0, m("0k0", "T"), m("0k1", "T"))
-        _combine(at(1, 1), -mu0, m("0k0", "KT"), m("0k1", "KT"), y_weight=la0)
-        _combine(at(1, 2), mu0 * la0 * la1, m("01", "T"))
-        _combine(at(1, 3), mu0 * la0, m("01", "KT"))
-        _combine(at(2, 0), mu1, m("10", "K"))
-        _combine(at(2, 1), mu1, m("10", "S"))
-        _combine(at(2, 2), mu1, m("1k1", "K"), m("1k2", "K"), x_weight=la1)
-        _combine(at(2, 3), mu1, m("1k1", "S"), m("1k2", "S"))
-        _combine(at(3, 0), -mu1, m("10", "T"))
-        _combine(at(3, 1), -mu1, m("10", "KT"))
-        _combine(at(3, 2), -mu1 * la1, m("1k1", "T"), m("1k2", "T"))
-        _combine(at(3, 3), -mu1, m("1k1", "KT"), m("1k2", "KT"), y_weight=la1)
-        a.reshape(-1)[::a.shape[0] + 1] += 1.0
-        self.matrix = a
+        n0 = 2 * self.grid0.size
+        a00 = self._add_block(0, 0, np.zeros((n0, n0), dtype=complex))
+        lu = _lu_of_transpose(a00, 0)
+        # X = A00^-1 B01 with B01 = diag(-mu0 I, mu0 lambda0 I) G01, written
+        # in Fortran order so that the solve overwrites it; C = B10 X with
+        # B10 = diag(I, -I) G10.  X is dropped once C is formed
+        g01 = self.blocks["01"].g
+        x = np.empty(g01.shape[::-1], dtype=complex).T
+        _scale_halves(g01, (-p.mu0, p.mu0 * p.lambda0), x)
+        x, _ = zgetrs(*lu, x, trans=1, overwrite_b=1)
+        c = _scale_halves(self.blocks["10"].g @ x, (1.0, -1.0))
+        return _InterfaceFactor(p.lambda0, lu, c)
 
     def _factor(self):
         p = self.params
-        n0, n1 = 2 * self.grid0.size, self.grid1.size
-        a = self.matrix
+        n1 = self.grid1.size
         block_set = self._block_set
         iface = block_set.interface
         if iface is None or iface.lambda0 != p.lambda0:
             block_set.interface = None  # one interface factorization per set
-            iface = _factor_interface(a[:n0, :n0], self.blocks, p)
+            iface = self._factor_interface()
             block_set.interface = iface
         self._interface = iface
-        # S = A11 - mu1 C D, written into one new array
+        # S = A11 - mu1 C D, built in one new array
         weight = np.full(2 * n1, -p.mu1)
         weight[:n1] = -(p.mu1 * p.lambda1)
-        schur = np.multiply(iface.c, weight)
-        schur += a[n0:, n0:]
-        self._schur_lu = _lu_of_transpose(schur, n0)
-
-    def _scale_psi3(self, v):
-        """D v: the psi3 rows of ``v`` times lambda1, in place."""
-        v[:self.grid1.size] *= self.params.lambda1
-        return v
+        schur = self._add_block(1, 1, np.multiply(iface.c, weight))
+        self._schur_lu = _lu_of_transpose(schur, 2 * self.grid0.size)
 
     def _raw_solve(self, rhs):
         """(I+A)^-1 rhs by block substitution: x1 = S^-1 (b1 - A10 A00^-1
-        b0), then x0 = A00^-1 b0 - X D x1."""
-        n0 = 2 * self.grid0.size
-        iface = self._interface
+        b0), then x0 = A00^-1 (b0 - A01 x1)."""
+        lu0 = self._interface.lu
+        b0, b1 = rhs[self._cut(0)], rhs[self._cut(1)]
         x = np.empty(rhs.shape, dtype=complex)
-        z0 = _lu_solve(iface.lu, rhs[:n0], 1)
-        x[n0:] = x1 = _lu_solve(self._schur_lu,
-                                rhs[n0:] - self.matrix[n0:, :n0] @ z0, 1)
-        # X is Fortran-ordered, and BLAS multiplies by the C-ordered X^T
-        # faster than by X
-        np.subtract(z0, (self._scale_psi3(x1).T @ iface.x.T).T, out=x[:n0])
+        z0 = _lu_solve(lu0, b0, 1)
+        x[self._cut(1)] = x1 = _lu_solve(self._schur_lu,
+                                         b1 - self._product("10", z0), 1)
+        x[self._cut(0)] = _lu_solve(lu0, b0 - self._product("01", x1), 1)
         return x
 
     def _raw_solve_transposed(self, rhs):
-        """(I+A)^-T rhs by block substitution: y1 = S^-T (g1 - D X^T g0),
-        then y0 = A00^-T (g0 - A10^T y1)."""
-        n0 = 2 * self.grid0.size
-        iface = self._interface
+        """(I+A)^-T rhs by block substitution: w0 = A00^-T g0, y1 = S^-T
+        (g1 - A01^T w0), then y0 = A00^-T (g0 - A10^T y1)."""
+        lu0 = self._interface.lu
+        g0, g1 = rhs[self._cut(0)], rhs[self._cut(1)]
         y = np.empty(rhs.shape, dtype=complex)
-        g0 = rhs[:n0]
-        y[n0:] = y1 = _lu_solve(
-            self._schur_lu, rhs[n0:] - self._scale_psi3(iface.x.T @ g0), 0)
-        # likewise the C-ordered A10 rather than A10^T
-        a10_y1 = (y1.T @ self.matrix[n0:, :n0]).T
-        y[:n0] = _lu_solve(iface.lu, g0 - a10_y1, 0)
+        w0 = _lu_solve(lu0, g0, 0)
+        y[self._cut(1)] = y1 = _lu_solve(
+            self._schur_lu, g1 - self._product("01", w0, True), 0)
+        y[self._cut(0)] = _lu_solve(lu0, g0 - self._product("10", y1, True), 0)
         return y
 
     @cached_property
@@ -399,10 +454,18 @@ class TransmissionSystem:
         entry of each column of (I+A) when |lambda1| exceeds
         CHECK_WEIGHT_THRESHOLD, else ones.  The psi3 columns grow with
         lambda1, so the equations of the transposed system that they hold
-        are measured against their own size."""
+        are measured against their own size.  Built one block of (I+A) at
+        a time."""
+        sizes = (2 * self.grid0.size, 2 * self.grid1.size)
         if abs(self.params.lambda1) <= CHECK_WEIGHT_THRESHOLD:
-            return np.ones(self.matrix.shape[0])
-        col = np.max(np.abs(self.matrix), axis=0)
+            return np.ones(sum(sizes))
+        col = np.zeros(sum(sizes))
+        for c in (0, 1):
+            for r in (0, 1):
+                block = self._add_block(r, c, np.zeros((sizes[r], sizes[c]),
+                                                       dtype=complex))
+                np.maximum(col[self._cut(c)], np.max(np.abs(block), axis=0),
+                           out=col[self._cut(c)])
         col[col == 0.0] = 1.0
         return col
 
@@ -426,7 +489,7 @@ class TransmissionSystem:
                 break
             x = x + raw_solve(res)
         if not ok:
-            cond = np.linalg.cond(self.matrix, 1)
+            cond = np.linalg.cond(self._dense(), 1)
             raise SolverError(
                 f"discrete residual {np.max(res_size):.3e} exceeds "
                 f"{RESIDUAL_RTOL:g} * ||R||; condition estimate {cond:.3e}"
@@ -439,7 +502,7 @@ class TransmissionSystem:
         rhs = np.asarray(rhs, dtype=complex)
         single = rhs.ndim == 1
         b = rhs[:, None] if single else rhs
-        x = self._refined(b, self._raw_solve, lambda v: self.matrix @ v)
+        x = self._refined(b, self._raw_solve, self._apply)
         return x[:, 0] if single else x
 
     def solve(self, data: BoundaryData) -> DensityVector:
@@ -477,12 +540,14 @@ class TransmissionSystem:
         ``solve_stacked``.
         """
         s_mat, k_mat = self.farfield_maps(directions)
-        g = np.zeros((self.matrix.shape[0], s_mat.shape[0]), dtype=complex)
+        size = 2 * (self.grid0.size + self.grid1.size)
+        g = np.zeros((size, s_mat.shape[0]), dtype=complex)
         n0 = self.grid0.size
         g[:n0] = self.params.lambda0 * k_mat.T
         g[n0:2 * n0] = s_mat.T
         wt = self._refined(g, self._raw_solve_transposed,
-                           lambda v: self.matrix.T @ v, self._col_scale)
+                           lambda v: self._apply(v, transposed=True),
+                           self._col_scale)
         return wt.T
 
     # -- boundary traces ---------------------------------------------------
@@ -490,18 +555,21 @@ class TransmissionSystem:
         """Traces of the total field for a plane-wave (homogeneous f3, f4)
         solve, via interior representations and exact jump constants."""
         p = self.params
-
-        def m(group, kind):
-            return self.blocks[group][kind]
-
         ps1, ps2, ps3, ps4 = (densities.psi1, densities.psi2,
                               densities.psi3, densities.psi4)
-        u0 = (m("0k1", "K") @ ps1 - 0.5 * ps1 + m("0k1", "S") @ ps2
-              + p.lambda1 * (m("01", "K") @ ps3) + m("01", "S") @ ps4)
-        dn0 = (m("0k1", "T") @ ps1 + m("0k1", "KT") @ ps2 + 0.5 * ps2
-               + p.lambda1 * (m("01", "T") @ ps3) + m("01", "KT") @ ps4)
-        u1 = m("1k2", "K") @ ps3 - 0.5 * ps3 + m("1k2", "S") @ ps4
-        dn1 = m("1k2", "T") @ ps3 + m("1k2", "KT") @ ps4 + 0.5 * ps4
+        n0, n1 = self.grid0.size, self.grid1.size
+        # the interior (k1) field on the interface and the k2 field on the
+        # buried curve: G0k1 (psi1; psi2) + G01 (lambda1 psi3; psi4) and
+        # G1k2 (psi3; psi4), plus the jump terms
+        x1 = np.concatenate([ps3, ps4])
+        v0 = (self.blocks["0k1"].g @ np.concatenate([ps1, ps2])
+              + self.blocks["01"].g @ _scale_halves(x1, (p.lambda1, 1.0),
+                                                     np.empty_like(x1)))
+        v1 = self.blocks["1k2"].g @ x1
+        u0 = v0[:n0] - 0.5 * ps1
+        dn0 = v0[n0:] + 0.5 * ps2
+        u1 = v1[:n1] - 0.5 * ps3
+        dn1 = v1[n1:] + 0.5 * ps4
         return BoundaryTraces(
             u0=u0, dn_u0_minus=dn0, dn_u0_plus=p.lambda0 * dn0,
             duds0=self.grid0.d_ds(u0),

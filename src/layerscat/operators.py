@@ -47,14 +47,22 @@ q ratio 4.6 (close concentric circles, where the whole curve is near).
 All entries absorb the arc-length factor |x'(tau)| pi/n.
 
 Every kernel is i H a with a Hankel function H = J + iY and a real
-factor a, so blocks are assembled as separate real and imaginary parts
-(-Y a and J a) and combined once at the end.
+factor a, so the real and imaginary parts (-Y a and J a) are computed
+apart and written straight into the one C-order group matrix
+G = [[K, S], [T, KT]] that holds the four blocks of a (target, source,
+k); the kinds are views of its quadrants (``BlockGroup``).  A cross
+block is evaluated a panel of target rows at a time, at most
+CROSS_PANEL_ENTRIES fine-grid entries each, which bounds the kernel
+arrays alive at once; q, the fine grid and the close-curves warning
+belong to the whole block, and rows are independent, so the blocks do
+not depend on the panels.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +76,14 @@ CROSS_TAIL_MAX = 1e-5
 CROSS_PLAIN_RATIO = 6.5
 CROSS_PLAIN_KH = 0.75
 CROSS_DEPTH = 5.5
+# fine-grid entries per row panel of a cross block: bounds the kernel
+# arrays a cross block holds at once
+CROSS_PANEL_ENTRIES = 2**16
+
+KINDS = ("S", "K", "KT", "T")
+# each kind's quadrant (block row, block column) in a group matrix
+# [[K, S], [T, KT]]
+_QUADRANTS = {"S": (0, 1), "K": (0, 0), "KT": (1, 1), "T": (1, 0)}
 
 
 @lru_cache(maxsize=16)
@@ -84,8 +100,10 @@ def _log_4sin2(n: int):
 
 
 class _PairData:
-    """Geometry and kernel evaluations shared by all blocks of one
-    (target, source, k) combination; all real (see module docstring)."""
+    """The grids of one (target, source, k) combination and the kernel
+    evaluations its blocks share.  A cross pair fixes its ``fine`` grid
+    (its oversampling) here; ``kernels`` then evaluates target rows
+    against it."""
 
     def __init__(self, target: DiscretizedBoundary, source: DiscretizedBoundary,
                  k: float):
@@ -93,39 +111,60 @@ class _PairData:
         self.source = source
         self.k = k
         self.same = target is source
-        dx, dy, r = _differences(target, source)
-        if self.same:
-            self.fine = source
-            np.fill_diagonal(r, 1.0)  # placeholder; diagonals are analytic
-        else:
-            q = _cross_oversample(source, k, dx, dy, r)
-            self.fine = source
+        self.fine = source
+        self._diffs = None  # the source-grid differences, kept when q = 1
+        if not self.same:
+            diffs = _differences(target, source)
+            q = _cross_oversample(source, k, *diffs)
             if q > 1:
                 # the fine grid must carry the source grid's node map, or
                 # the interpolated density would sit at the wrong points
                 self.fine = discretize(source.curve, source.n * q,
                                        source.node_map)
-                dx, dy, r = _differences(target, self.fine)
-        fine = self.fine
-        self.r = r
-        # nu . (x(t) - x(tau)) / r with the target's and the source's normal
-        self.p_tgt = (dx * target.normal[:, 0, None]
-                      + dy * target.normal[:, 1, None]) / r
-        self.p_src = (dx * fine.normal[None, :, 0]
-                      + dy * fine.normal[None, :, 1]) / r
-        self.j0, self.j1, self.y0, self.y1 = bessel_j0j1y0y1(k * r)
+            else:
+                self._diffs = diffs
+
+    def kernels(self, rows=slice(None)):
+        """r = |x - y|, the normal projections nu(x) . (x - y) / r and
+        nu(y) . (x - y) / r, and J0, J1, Y0, Y1 at k r, for the target
+        rows ``rows`` against the fine grid; all real (see module
+        docstring).  Same-curve pairs take whole blocks only."""
+        target, fine = self.target, self.fine
+        if self._diffs is None:
+            dx, dy, r = _differences(target, fine, rows)
+        else:
+            dx, dy, r = (d[rows] for d in self._diffs)
+        if self.same:
+            np.fill_diagonal(r, 1.0)  # placeholder; diagonals are analytic
+        p_tgt = (dx * target.normal[rows, 0, None]
+                 + dy * target.normal[rows, 1, None]) / r
+        p_src = (dx * fine.normal[None, :, 0]
+                 + dy * fine.normal[None, :, 1]) / r
+        j0, j1, y0, y1 = bessel_j0j1y0y1(self.k * r)
         if self.same:
             # the limits at r = 0, which the logarithmic split takes on
             # the diagonal
-            np.fill_diagonal(self.j0, 1.0)
-            np.fill_diagonal(self.j1, 0.0)
-            self.log_4sin2 = _log_4sin2(target.n)
+            np.fill_diagonal(j0, 1.0)
+            np.fill_diagonal(j1, 0.0)
+        return _Kernels(r, p_tgt, p_src, j0, j1, y0, y1)
 
 
-def _differences(target: DiscretizedBoundary, source: DiscretizedBoundary):
-    """x(t_i) - y(tau_j) by components, and its length, as (2m, 2n')."""
-    dx = target.x[:, 0, None] - source.x[None, :, 0]
-    dy = target.x[:, 1, None] - source.x[None, :, 1]
+class _Kernels(NamedTuple):
+    r: np.ndarray
+    p_tgt: np.ndarray
+    p_src: np.ndarray
+    j0: np.ndarray
+    j1: np.ndarray
+    y0: np.ndarray
+    y1: np.ndarray
+
+
+def _differences(target: DiscretizedBoundary, source: DiscretizedBoundary,
+                 rows=slice(None)):
+    """x(t_i) - y(tau_j) by components for the target rows ``rows``, and
+    its length, as (rows, 2n')."""
+    dx = target.x[rows, 0, None] - source.x[None, :, 0]
+    dy = target.x[rows, 1, None] - source.x[None, :, 1]
     return dx, dy, np.sqrt(dx * dx + dy * dy)
 
 
@@ -164,45 +203,55 @@ def _single_layer_diag(grid: DiscretizedBoundary, k: float):
             / (2.0 * np.pi))
 
 
-def _same_curve_matrices(pd: _PairData):
-    """{kind: stacked (real, imaginary) parts} of the same-curve blocks."""
-    g = pd.target
-    n = g.n
+def _same_curve_group(pd: _PairData, g):
+    """Write the same-curve blocks into the group matrix ``g``."""
+    grid = pd.target
+    n = grid.n
     k = pd.k
+    kv = pd.kernels()
     rmat = log_weight_matrix(n)
+    log_4sin2 = _log_4sin2(n)
     trap = np.pi / n
-    speed_row = g.speed[None, :]
-    s_diag = _single_layer_diag(g, k)
-    k_diag = -g.curvature * g.speed / (4.0 * np.pi)
+    speed_row = grid.speed[None, :]
+    s_diag = _single_layer_diag(grid, k)
+    k_diag = -grid.curvature * grid.speed / (4.0 * np.pi)
 
-    def log_rule(j, y, a, diag):
+    def log_rule(j, y, a, diag, out=None):
         # i (J + iY) a = M1 ln(4 sin^2((t - tau)/2)) + M2 with real
         # M1 = -J a / pi and M2 = (-Y a - M1 ln 4 sin^2) + i J a; `diag` is
         # the real part of M2's closed-form diagonal (J takes its r = 0
-        # limit there, so the imaginary part needs no fix)
+        # limit there, so the imaginary part needs no fix).  Writes the
+        # (real, imaginary) parts into ``out``, or into a new stacked pair
         m1 = (-1.0 / np.pi) * j * a
-        m2 = -y * a - m1 * pd.log_4sin2
+        m2 = -y * a - m1 * log_4sin2
         np.fill_diagonal(m2, diag)
-        return np.stack([rmat * m1 + trap * m2, trap * j * a])
+        if out is None:
+            out = np.empty((2,) + m1.shape)
+        re, im = out
+        np.multiply(rmat, m1, out=re)
+        re += trap * m2
+        np.multiply(trap * j, a, out=im)
+        im += 0.0  # +0.0 where J a is a negative zero, as re + 1j * im gave
+        return out
 
-    out = {
-        "S": log_rule(pd.j0, pd.y0, 0.25 * speed_row, s_diag),
-        "K": log_rule(pd.j1, pd.y1, (0.25 * k) * pd.p_src * speed_row, k_diag),
-        "KT": log_rule(pd.j1, pd.y1, (-0.25 * k) * pd.p_tgt * speed_row,
-                       k_diag),
-    }
+    log_rule(kv.j0, kv.y0, 0.25 * speed_row, s_diag, _parts(g, "S"))
+    log_rule(kv.j1, kv.y1, (0.25 * k) * kv.p_src * speed_row, k_diag,
+             _parts(g, "K"))
+    log_rule(kv.j1, kv.y1, (-0.25 * k) * kv.p_tgt * speed_row, k_diag,
+             _parts(g, "KT"))
     # parametric single layer (no arc-length factor) minus its
     # constant-coefficient log part
-    p_sharp = log_rule(pd.j0, pd.y0, 0.25, s_diag / g.speed)
+    p_sharp = log_rule(kv.j0, kv.y0, 0.25, s_diag / grid.speed)
     p_sharp[0] += rmat / (4.0 * np.pi)
-    nu_dot = g.normal @ g.normal.T
-    q_block = log_rule(pd.j0, pd.y0, (0.25 * k * k) * nu_dot * speed_row,
+    nu_dot = grid.normal @ grid.normal.T
+    q_block = log_rule(kv.j0, kv.y0, (0.25 * k * k) * nu_dot * speed_row,
                        k * k * s_diag)
     dmat = _spectral_diff_matrix(n)
     t_block = dmat @ p_sharp @ dmat
     t_block[0] += 0.5 * hypersingular_weight_matrix(n)
-    out["T"] = t_block / g.speed[:, None] + q_block
-    return out
+    for part, t_part, q_part in zip(_parts(g, "T"), t_block, q_block):
+        np.divide(t_part, grid.speed[:, None], out=part)
+        part += q_part
 
 
 @lru_cache(maxsize=16)
@@ -223,11 +272,52 @@ def _spectral_diff_matrix(n: int):
     return mat
 
 
-def _cross_curve_matrices(pd: _PairData):
-    """{kind: stacked (real, imaginary) parts} of the cross-curve blocks."""
+def _cross_curve_group(pd: _PairData, g):
+    """Write the cross-curve blocks into the group matrix ``g``, one panel
+    of target rows at a time (see ``CROSS_PANEL_ENTRIES``)."""
     gt, gf = pd.target, pd.fine
     k = pd.k
-    dmin = float(np.min(pd.r))
+    m = gt.size
+    # balanced panels of at least two rows: numpy multiplies a one-row
+    # matrix by another BLAS path, which rounds nu_dot differently
+    count = max(1, min(m // 2, -(-m * gf.size // CROSS_PANEL_ENTRIES)))
+    edges = [m * i // count for i in range(count + 1)]
+    # trapezoid weight pi/n times arc length times the 1/4 of (i/4) H
+    w = (0.25 * np.pi / gf.n) * gf.speed
+    fold = gf is not pd.source
+    dmin = np.inf
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = slice(lo, hi)
+        kv = pd.kernels(rows)
+        dmin = min(dmin, float(np.min(kv.r)))
+        if fold:
+            parts = np.empty((2,) + kv.r.shape)  # fine-grid (real, imaginary)
+        for kind in KINDS:
+            dest = _parts(g, kind, rows)
+            re, im = parts if fold else dest
+            # the kernel is i (H0 a0 + H1 a1) with real factors a0, a1
+            if kind == "S":
+                terms = [(kv.j0, kv.y0, w)]
+            elif kind == "K":
+                terms = [(kv.j1, kv.y1, (k * w) * kv.p_src)]
+            elif kind == "KT":
+                terms = [(kv.j1, kv.y1, (-k * w) * kv.p_tgt)]
+            else:
+                pp = kv.p_tgt * kv.p_src
+                nu_dot = gt.normal[rows] @ gf.normal.T
+                terms = [(kv.j0, kv.y0, (k * k * w) * pp),
+                         (kv.j1, kv.y1, (k * w) * (nu_dot - 2.0 * pp) / kv.r)]
+            (j, y, a), *rest = terms
+            np.multiply(y, a, out=re)
+            np.multiply(j, a, out=im)
+            for j, y, a in rest:
+                re += y * a
+                im += j * a
+            np.negative(re, out=re)
+            if fold:
+                folded = _decimate(parts, pd.source.n)
+                dest[0][...] = folded[0]
+                dest[1][...] = folded[1]
     if dmin < CONTAINMENT_MARGIN:
         warnings.warn(
             f"curves are {dmin:.3g} apart (< {CONTAINMENT_MARGIN}); "
@@ -235,36 +325,6 @@ def _cross_curve_matrices(pd: _PairData):
             RuntimeWarning,
             stacklevel=3,
         )
-    # trapezoid weight pi/n times arc length times the 1/4 of (i/4) H
-    w = (0.25 * np.pi / gf.n) * gf.speed
-    fold = gf is not pd.source
-    parts = np.empty((2,) + pd.r.shape)  # fine-grid (real, imaginary) parts
-    out = {}
-    for kind in ("S", "K", "KT", "T"):
-        if not fold and out:
-            parts = np.empty_like(parts)  # kept as the block itself
-        re, im = parts
-        # the kernel is i (H0 a0 + H1 a1) with real factors a0, a1
-        if kind == "S":
-            terms = [(pd.j0, pd.y0, w)]
-        elif kind == "K":
-            terms = [(pd.j1, pd.y1, (k * w) * pd.p_src)]
-        elif kind == "KT":
-            terms = [(pd.j1, pd.y1, (-k * w) * pd.p_tgt)]
-        else:
-            pp = pd.p_tgt * pd.p_src
-            nu_dot = gt.normal @ gf.normal.T
-            terms = [(pd.j0, pd.y0, (k * k * w) * pp),
-                     (pd.j1, pd.y1, (k * w) * (nu_dot - 2.0 * pp) / pd.r)]
-        (j, y, a), *rest = terms
-        np.multiply(y, a, out=re)
-        np.multiply(j, a, out=im)
-        for j, y, a in rest:
-            re += y * a
-            im += j * a
-        np.negative(re, out=re)
-        out[kind] = _decimate(parts, pd.source.n) if fold else parts
-    return out
 
 
 def _decimate(fine_rows, n: int):
@@ -277,23 +337,50 @@ def _decimate(fine_rows, n: int):
     return np.fft.irfft(spec, 2 * n, axis=-1)
 
 
+def _quadrant(g, kind):
+    """``kind``'s quadrant of the group matrix ``g``, as a view."""
+    m, n = g.shape[0] // 2, g.shape[1] // 2
+    i, j = _QUADRANTS[kind]
+    return g[i * m:(i + 1) * m, j * n:(j + 1) * n]
+
+
+def _parts(g, kind, rows=slice(None)):
+    """The (real, imaginary) views of the rows ``rows`` of ``kind``'s
+    quadrant of the group matrix ``g``."""
+    block = _quadrant(g, kind)[rows]
+    return block.real, block.imag
+
+
+class BlockGroup(dict):
+    """The S/K/KT/T blocks of one (target, source, k), held as one C-order
+    complex matrix ``g`` = [[K, S], [T, KT]] of shape (2m, 2n), m and n the
+    target's and the source's node counts.  As a dict it maps each kind
+    to a view of its quadrant; ``g`` is read-only when the views are
+    made, so they are too."""
+
+    def __init__(self, g):
+        super().__init__((kind, _quadrant(g, kind)) for kind in KINDS)
+        self.g = g
+
+
 def assemble_blocks(target: DiscretizedBoundary, source: DiscretizedBoundary,
-                    k: float):
+                    k: float) -> BlockGroup:
     """Assemble the S/K/KT/T blocks (see module docstring) of one
-    (target, source, k) pair, sharing kernel evaluations.  Returns
-    {kind: dense matrix mapping source-grid densities to target-grid
-    values}."""
+    (target, source, k) pair, sharing kernel evaluations.  Returns their
+    read-only ``BlockGroup``: {kind: dense matrix mapping source-grid
+    densities to target-grid values}."""
     pd = _PairData(target, source, k)
+    g = np.empty((2 * target.size, 2 * source.size), dtype=complex)
     if pd.same:
-        parts = _same_curve_matrices(pd)
+        _same_curve_group(pd, g)
     else:
-        parts = _cross_curve_matrices(pd)
-    blocks = {}
-    for kind, (re, im) in parts.items():
-        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        _cross_curve_group(pd, g)
+    g.setflags(write=False)
+    group = BlockGroup(g)
+    for kind, block in group.items():
+        if not np.all(np.isfinite(block)):
             raise SolverError(f"non-finite entries in {kind} block at k={k}")
-        blocks[kind] = re + 1j * im
-    return blocks
+    return group
 
 
 def assemble_farfield(source: DiscretizedBoundary, k0: float, directions):

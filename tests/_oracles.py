@@ -35,6 +35,7 @@ from layerscat.errors import ConfigurationError, DomainError, SolverError
 from layerscat.forward import DensityVector, TransmissionSystem
 from layerscat.frechet import derivative_boundary_data
 from layerscat.geometry import discretize
+from layerscat.operators import BlockGroup
 from layerscat.specfun import bessel_j0j1y0y1
 
 mp.mp.dps = 50
@@ -289,23 +290,52 @@ def direct_derivative_far_field(system, traces, directions, obs_directions,
     if check:
         return system.far_field(system.solve(data), obs_directions)
     b = data.stacked(system.params.mu0, system.params.mu1)
+    dense = system._dense()
     x = system._raw_solve(b)
     for _ in range(3):
-        x = x + system._raw_solve(b - system.matrix @ x)
+        x = x + system._raw_solve(b - dense @ x)
     dens = DensityVector.from_stacked(x, system.grid0.size, system.grid1.size)
     return system.far_field(dens, obs_directions)
 
 
+def transmission_matrix(system):
+    """(I+A) written out block by block from the operator kinds, as the
+    4x4 block system reads: rows and columns psi1, psi2 (interface),
+    psi3, psi4 (buried curve)."""
+    p = system.params
+    mu0, mu1, la0, la1 = p.mu0, p.mu1, p.lambda0, p.lambda1
+
+    def b(group, kind):
+        return system.blocks[group][kind]
+
+    rows = [
+        [mu0 * (la0 * b("0k0", "K") - b("0k1", "K")),
+         mu0 * (b("0k0", "S") - b("0k1", "S")),
+         -mu0 * la1 * b("01", "K"), -mu0 * b("01", "S")],
+        [-mu0 * la0 * (b("0k0", "T") - b("0k1", "T")),
+         -mu0 * (b("0k0", "KT") - la0 * b("0k1", "KT")),
+         mu0 * la0 * la1 * b("01", "T"), mu0 * la0 * b("01", "KT")],
+        [mu1 * b("10", "K"), mu1 * b("10", "S"),
+         mu1 * (la1 * b("1k1", "K") - b("1k2", "K")),
+         mu1 * (b("1k1", "S") - b("1k2", "S"))],
+        [-mu1 * b("10", "T"), -mu1 * b("10", "KT"),
+         -mu1 * la1 * (b("1k1", "T") - b("1k2", "T")),
+         -mu1 * (b("1k1", "KT") - la1 * b("1k2", "KT"))],
+    ]
+    a = np.block(rows)
+    return a + np.eye(a.shape[0])
+
+
 class FullLUSystem(TransmissionSystem):
     """The transmission system factored the direct way: one LU of the
-    whole (I+A)^T, taken of D_r^-1 (I+A) D_c^-1 (largest entry of each
-    column, then of each row, scaled to one) when |lambda1| > 1e3.
-    Assembly, refinement, residual checks (weighted by the same column
-    scale in ``far_field_rows``), far fields and traces are the
-    package's."""
+    whole (I+A)^T, assembled densely by the package's ``_dense``, taken
+    of D_r^-1 (I+A) D_c^-1 (largest entry of each column, then of each
+    row, scaled to one) when |lambda1| > 1e3.  Operator groups,
+    refinement, residual checks (weighted by the same column scale in
+    ``far_field_rows``), far fields and traces are the package's."""
 
     def _factor(self):
-        m = self.matrix
+        m = self._dense()
         n = m.shape[0]
         if abs(self.params.lambda1) > 1e3:
             col = np.max(np.abs(m), axis=0)
@@ -406,11 +436,11 @@ def trig_interpolation_matrix(n, q):
 
 
 def cross_blocks_fixed_q(target, source, k, q=4):
-    """{kind: block} of the S/K/KT/T cross-curve blocks by the trapezoid
-    rule on a q-times oversampled source grid (carrying the source's node
-    map), folded back onto the 2n source nodes with the transposed
-    interpolation matrix: one fixed q for every pair, as the operators
-    were assembled before q was chosen per block."""
+    """The ``BlockGroup`` of the S/K/KT/T cross-curve blocks by the
+    trapezoid rule on a q-times oversampled source grid (carrying the
+    source's node map), folded back onto the 2n source nodes with the
+    transposed interpolation matrix: one fixed q for every pair, as the
+    operators were assembled before q was chosen per block."""
     fine = discretize(source.curve, source.n * q, source.node_map)
     diff = target.x[:, None, :] - fine.x[None, :, :]
     r = np.sqrt(np.sum(diff * diff, axis=-1))
@@ -427,7 +457,8 @@ def cross_blocks_fixed_q(target, source, k, q=4):
     }
     fold = trig_interpolation_matrix(source.n, q)
     w = (np.pi / fine.n) * fine.speed
-    return {kind: (kern * w) @ fold for kind, kern in kernels.items()}
+    b = {kind: (kern * w) @ fold for kind, kern in kernels.items()}
+    return BlockGroup(np.block([[b["K"], b["S"]], [b["T"], b["KT"]]]))
 
 
 def fixed_resolution_newton(state, data, k0, config):

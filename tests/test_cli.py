@@ -220,3 +220,14 @@ def test_non_finite_initial_lambda1_exits_one(tmp_path, small_config_path,
                  "--init-lambda1", "inf", "--out", str(out)]) == 1
     assert "lambda1 must be finite" in capsys.readouterr().err
     assert not (out / "trace.json").exists()
+
+
+def test_negative_n1_exits_one(tmp_path, small_config_path, capsys):
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(small_config_path),
+                 "--truth-outer", "circle:2.0", "--truth-inner", "circle:0.8",
+                 "--truth-lambda1", "2.0", "--set", "n1=-0.64",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "n1 must be positive" in err
+    assert not (out / "dataset.csv").exists()

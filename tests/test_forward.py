@@ -2,6 +2,7 @@
 reciprocity, trace consistency, and the reuse of operator blocks across
 systems."""
 
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import FrozenInstanceError
@@ -17,8 +18,9 @@ from layerscat.forward import (BoundaryData, MediumParams, TransmissionSystem,
                                solve_plane_wave)
 from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
                                 discretize_pair)
+from layerscat.operators import BlockGroup
 
-from _oracles import FullLUSystem
+from _oracles import FullLUSystem, transmission_matrix
 
 
 def _params(k0=2.0, lambda1=2.0, **kw):
@@ -43,36 +45,56 @@ def test_medium_params_create():
         MediumParams.create(k0=-1.0, n1=0.64, lambda0=1.2, lambda1=1.0)
 
 
+def _exact_reciprocal(mu):
+    """v with v * mu == 1.0 in floating point, next to 1/mu."""
+    v = 1.0 / mu
+    for _ in range(8):
+        if v * mu == 1.0:
+            return v
+        v = np.nextafter(v, np.inf if v * mu < 1.0 else 0.0)
+    raise AssertionError(f"no exact reciprocal of {mu!r} near 1/mu")
+
+
 @pytest.mark.parametrize("lambda1", [2.0, 1e6])
 @pytest.mark.parametrize("block", [0, 2])  # a psi1 and a psi3 column
 def test_singular_system_raises_solver_error(monkeypatch, block, lambda1):
     """LAPACK only flags an exact zero pivot; the system must fail typed.
     A zero psi1 column makes the interface block A00 singular, a zero psi3
     column the Schur complement S, and the error names a column of that
-    factor in the numbering of the whole system."""
+    factor in the numbering of the whole system.  The columns are zeroed
+    in the operator groups, where one group entry v must cancel the
+    identity exactly: the psi1 column takes lambda0 = 1, so mu0 = 1, and
+    the psi3 column a v with v * mu1 == 1.0."""
     g0 = discretize(ParametricCurve.preset("rounded_triangle"), 8)
     g1 = discretize(ParametricCurve.preset("apple"), 8)
-    assemble, blocks = TransmissionSystem._assemble, forward.assemble_blocks
+    if block == 0:
+        params = MediumParams.create(k0=2.0, n1=0.64, lambda0=1.0,
+                                     lambda1=lambda1)
+    else:
+        params = _params(lambda1=lambda1, k2=1.3)
+    blocks = forward.assemble_blocks
 
-    def zero_column(self):
-        assemble(self)
-        self.matrix[:, block * self.grid0.size] = 0.0
-
-    def zero_coupling(target, source, k):
-        # S is built from the lambda1-free coupling blocks, not from the
-        # matrix, so a psi3 column must vanish from them too
-        out = blocks(target, source, k)
-        if block == 2 and target is g0 and source is g1:
-            out["K"][:, 0] = out["T"][:, 0] = 0.0
-        return out
+    def zero_column(target, source, k):
+        group = blocks(target, source, k)
+        g = group.g.copy()
+        if block == 0 and target is source is g0:
+            # column 0 of A00: e0 - mu0 * 1 from G0k1's K entry, mu0 = 1
+            g[:, 0] = 0.0
+            g[0, 0] = 1.0 if k == params.k1 else 0.0
+        elif block == 2 and target is g0 and source is g1:
+            g[:, 0] = 0.0  # B01's psi3 column, and so C's
+        elif block == 2 and target is source is g1:
+            # column 0 of A11: e0 - mu1 * v from G1k2's K entry
+            g[:, 0] = 0.0
+            g[0, 0] = _exact_reciprocal(params.mu1) if k == params.k2 else 0.0
+        return BlockGroup(g)
 
     monkeypatch.setattr(forward, "_last_blocks", None)
-    monkeypatch.setattr(forward, "assemble_blocks", zero_coupling)
-    monkeypatch.setattr(TransmissionSystem, "_assemble", zero_column)
+    monkeypatch.setattr(forward, "assemble_blocks", zero_column)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="singular") as info:
-            assemble_system(g0, g1, _params(lambda1=lambda1))
+            assemble_system(g0, g1, params)
     reported = int(str(info.value).rsplit(" ", 1)[1])
     assert (reported >= 2 * g0.size) == (block == 2)
     assert reported < 2 * (g0.size + g1.size)
@@ -93,9 +115,10 @@ def test_solves_match_dense_solve_of_the_system_and_its_transpose(
     col, row = oracle._col_scale, oracle._row_scale
     assert np.any(col != 1.0) == equilibrated
     assert np.array_equal(system._col_scale, col)
-    scaled = system.matrix / row[:, None] / col[None, :]
+    dense = system._dense()
+    scaled = dense / row[:, None] / col[None, :]
     rng = np.random.default_rng(3)
-    size = system.matrix.shape[0]
+    size = dense.shape[0]
     # data on the interface only, as plane waves give; random data on the
     # buried curve trip the residual check at lambda1 = 1e6 with either LU
     rhs = np.zeros((size, 4), dtype=complex)
@@ -118,13 +141,14 @@ def test_system_size_and_lambda1_one_block():
     g0 = discretize(ParametricCurve.preset("circle", radius=2.0), 32)
     g1 = discretize(ParametricCurve.preset("circle", radius=1.0), 32)
     system = assemble_system(g0, g1, _params(lambda1=1.0))
-    assert system.matrix.shape == (256, 256)
+    dense = system._dense()
+    assert dense.shape == (256, 256)
     # lambda1 = 1 with k2 = k1 makes the (3,3) block vanish: the
     # diagonal block of I+A there is exactly the identity
     n0 = g0.size
-    blk = system.matrix[2 * n0:2 * n0 + g1.size, 2 * n0:2 * n0 + g1.size]
+    blk = dense[2 * n0:2 * n0 + g1.size, 2 * n0:2 * n0 + g1.size]
     assert np.max(np.abs(blk - np.eye(g1.size))) == 0.0
-    assert np.isfinite(np.linalg.cond(system.matrix))
+    assert np.isfinite(np.linalg.cond(dense))
 
 
 def test_far_field_matches_concentric_oracle():
@@ -140,7 +164,7 @@ def test_far_field_matches_concentric_oracle():
     data = plane_wave_data(system.grid0, system.grid1, 2.0, d)
     rhs = data.stacked(system.params.mu0, system.params.mu1)
     psi = np.concatenate([dens.psi1, dens.psi2, dens.psi3, dens.psi4])
-    res = np.max(np.abs(system.matrix @ psi - rhs))
+    res = np.max(np.abs(system._dense() @ psi - rhs))
     assert res <= 1e-10 * np.max(np.abs(rhs))
 
 
@@ -317,7 +341,7 @@ def test_block_reuse_is_exact(block_calls, lambda1):
     data = plane_wave_data(g0, g1, 2.0, observation_directions(3))
     rhs = data.stacked(fresh.params.mu0, fresh.params.mu1)
     obs = observation_directions(8)
-    assert _same_bits(reused.matrix, fresh.matrix)
+    assert _same_bits(reused._dense(), fresh._dense())
     psi_r, psi_f = reused.solve_stacked(rhs), fresh.solve_stacked(rhs)
     assert _same_bits(psi_r, psi_f)
     dens_r, dens_f = reused.solve(data), fresh.solve(data)
@@ -415,6 +439,14 @@ def test_close_pair_warns_only_when_blocks_are_assembled(block_calls):
     assert len(block_calls) == 5
 
 
+@pytest.mark.parametrize("n1", [-0.64, 0.0, np.nan, np.inf])
+def test_medium_params_reject_bad_n1_before_its_square_root(n1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's sqrt would warn first
+        with pytest.raises(ConfigurationError, match="n1 must be positive"):
+            MediumParams.create(k0=2.0, n1=n1, lambda0=1.2, lambda1=2.0)
+
+
 @pytest.mark.parametrize("field", ["k0", "k1", "k2", "lambda0", "lambda1"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_medium_params_reject_non_finite(field, value):
@@ -458,6 +490,58 @@ def test_block_factorization_matches_full_lu_oracle(block_calls, lambda1):
         assert close(got, ref)
     obs = observation_directions(16)
     assert close(system.far_field_rows(obs), oracle.far_field_rows(obs))
+
+
+def test_forward_sweep_pairing_memory(block_calls):
+    """Both lambda1 systems of one forward-benchmark pairing (n = 128, 16
+    plane waves each), assembled and solved under tracemalloc: the dense
+    (I+A) is never formed and the cross blocks are evaluated in panels,
+    so the traced peak stays below 43 MB (about 54 MB with the assembled
+    matrix and whole-block kernels, 34 MB without), and the block set
+    with its interface factorization keeps below 30 MB (28 MB; 32 MB
+    when X = A00^-1 B01 was kept too)."""
+    g0 = discretize(ParametricCurve.preset("rounded_square"), 128)
+    g1 = discretize(ParametricCurve.preset("kite"), 128)
+    incident, obs = observation_directions(16), observation_directions(64)
+    assemble_system(g0, g1, _params(k0=7.0))  # fills the per-n caches
+    forward._last_blocks = None
+    block_calls.clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for lambda1 in (1e-6, 1e6):
+            system = assemble_system(g0, g1, _params(k0=7.0, lambda1=lambda1))
+            dens = system.solve(plane_wave_data(g0, g1, 7.0, incident))
+            assert np.all(np.isfinite(system.far_field(dens, obs)))
+            del system, dens
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(block_calls) == 5
+    mb = 2.0**20
+    assert (peak - base) / mb < 43.0
+    assert (current - base) / mb < 30.0
+
+
+@pytest.mark.parametrize("k2", ["k1", 1.3])
+@pytest.mark.parametrize("lambda1", [1e-6, 1.0, 2.0, 1e6])
+def test_group_terms_make_the_transmission_matrix(k2, lambda1):
+    """The dense (I+A) and the products with (I+A) and (I+A)^T, all taken
+    from the operator groups, equal the block system written out kind by
+    kind; with k2 = k1 A11 is one block-diagonal term of one group."""
+    g0, g1 = discretize(ParametricCurve.preset("rounded_triangle"), 12), \
+        discretize(ParametricCurve.preset("apple"), 10)
+    system = assemble_system(g0, g1, _params(lambda1=lambda1, k2=k2))
+    assert (len(system._terms) == 5) == (k2 == "k1")
+    ref = transmission_matrix(system)
+    dense = system._dense()
+    assert np.max(np.abs(dense - ref)) <= 1e-14 * np.max(np.abs(ref))
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((ref.shape[0], 3)) + 1j * rng.standard_normal(
+        (ref.shape[0], 3))
+    for got, want in ((system._apply(x), ref @ x),
+                      (system._apply(x, transposed=True), ref.T @ x)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.fixture

@@ -218,7 +218,7 @@ def test_jacobian_is_one_solve_in_the_per_pair_layout(monkeypatch):
     jac, res = jacobian(system, traces, ff.T, np.zeros_like(ff.T), dirs, obs)
     monkeypatch.undo()
     assert shapes == []
-    size = system.matrix.shape[0]
+    size = 2 * (g0.size + g1.size)
     assert transposed and set(transposed) == {(size, 16)}
     assert jac.shape == (2 * 3 * 16, c)
     scale = np.max(np.abs(jac))

@@ -2,6 +2,7 @@
 references, and the jump relations."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ from layerscat.forward import (MediumParams, assemble_system,
                                observation_directions, plane_wave_data)
 from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
                                 discretize_pair)
-from layerscat.operators import (_cross_oversample, _decimate, _differences,
-                                 _log_4sin2, _PairData, assemble_blocks,
+from layerscat.operators import (CROSS_PANEL_ENTRIES, _cross_oversample,
+                                 _decimate, _differences, _log_4sin2,
+                                 _PairData, assemble_blocks,
                                  assemble_farfield)
 
 from _oracles import (circle_double_layer_offset, circle_eigenvalues,
@@ -372,3 +374,75 @@ def test_close_under_resolved_and_coarse_blocks_keep_more_nodes():
     assert _cross_oversample(g0, 0.74 / spacing, *diffs) == 1
     assert _cross_oversample(g0, 0.76 / spacing, *diffs) == 2
     assert operators.CROSS_OVERSAMPLE == 4
+
+
+# ---------------------------------------------------------------------------
+# Cross blocks assembled in panels of target rows
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def panels(monkeypatch):
+    """Count the target-row panels each cross block is evaluated in."""
+    counts = []
+    kernels = _PairData.kernels
+
+    def counted(self, rows=slice(None)):
+        if not self.same:
+            counts.append(((id(self.target), id(self.source)), rows))
+        return kernels(self, rows)
+
+    monkeypatch.setattr(_PairData, "kernels", counted)
+    return counts
+
+
+@pytest.mark.parametrize("setup,q", [("square->kite", 3), ("m21", 4)])
+def test_cross_block_panels_are_exact(monkeypatch, panels, setup, q):
+    # the forward benchmark's square -> kite block and gate 6's graded
+    # iterate 21 (outer <- inner) at n = 128 span several panels, and
+    # equal the one-panel assembly bit for bit
+    if setup == "square->kite":
+        source = discretize(ParametricCurve.preset("rounded_square"), 128)
+        target = discretize(ParametricCurve.preset("kite"), 128)
+    else:
+        target, source = discretize_pair(*_curves("m21"), 128)
+        assert source.node_map is not None
+    k = 0.8
+    assert _PairData(target, source, k).fine.n == q * source.n
+    panelled = assemble_blocks(target, source, k)
+    assert len(panels) >= 2
+    panels.clear()
+    monkeypatch.setattr(operators, "CROSS_PANEL_ENTRIES",
+                        target.size * source.size * q)
+    whole = assemble_blocks(target, source, k)
+    assert len(panels) == 1
+    assert panelled.g.tobytes() == whole.g.tobytes()
+    for kind in ("S", "K", "KT", "T"):
+        assert panelled[kind].tobytes() == whole[kind].tobytes()
+
+
+def test_inversion_blocks_are_one_panel(panels):
+    # gate 6's resolutions stop at n = 64, where even a q = 4 block fits
+    # the panel budget
+    target, source = discretize_pair(*_curves("m21"), 64)
+    assert target.size * source.size * 4 == CROSS_PANEL_ENTRIES
+    assemble_blocks(target, source, 0.8)
+    assert len(panels) == 1
+
+
+def test_close_curves_warn_once_per_panelled_block(monkeypatch, panels):
+    g0 = discretize(ParametricCurve.preset("circle", radius=1.0), 128)
+    g1 = discretize(ParametricCurve.preset("circle", radius=0.97), 128)
+
+    def close_warnings():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assemble_blocks(g0, g1, 1.0)
+            assemble_blocks(g1, g0, 1.0)
+        return [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)]
+
+    got = close_warnings()
+    assert len({pair for pair, _ in panels}) == 2 and len(panels) >= 4
+    assert len(got) == 2 and all("apart" in message for message in got)
+    # the distance it names is the whole block's
+    monkeypatch.setattr(operators, "CROSS_PANEL_ENTRIES", 2**30)
+    assert close_warnings() == got
