@@ -21,25 +21,28 @@ and A11 likewise from G1k1, G1k2 with mu1 and lambda1.  A00 depends on
 lambda0, k0 and k1 only, and B01, B10 are free of lambda1.  (I+A) is
 never assembled: the system is factored by block elimination around
 A00, LU(A00) (built in one array and factored in place) and C = B10 X,
-X = A00^-1 B01, once per block set and lambda0, with X freed once C is
-formed; then per system one LU of the buried-curve Schur complement
-S = A11 - mu1 C D, built in place.  mu1 lambda1 and mu1 enter S as
-products, so S is well scaled at any lambda1 and no equilibration is
-needed.  Every matrix is built in C order, which is LAPACK's layout of
-its transpose, so both LUs are taken of the transposes with no copy.
-The factorization serves every incident direction and the far-field
-rows that the Jacobian needs, by block substitution (two solves with
-A00 per solve); the residual checks apply (I+A) and (I+A)^T as one
-product per group.  The dense matrix is assembled only on demand, for
-the condition estimate of a failed solve.
+X = A00^-1 B01, once per block set, with X freed once C is formed; then
+per system one LU of the buried-curve Schur complement S = A11 - mu1 C
+D, built in place.  mu1 lambda1 and mu1 enter S as products, so S is
+well scaled at any lambda1 and no equilibration is needed.  Every
+matrix is built in C order, which is LAPACK's layout of its transpose,
+so both LUs are taken of the transposes with no copy.  The
+factorization serves every incident direction and the far-field rows
+that the Jacobian needs, by block substitution (two solves with A00 per
+solve; the transposed solve takes the same three steps with the
+transposed factors and the roles of B01 and B10 swapped); the residual
+checks apply (I+A) and (I+A)^T as one product per group.  The dense
+matrix is assembled only on demand, for the condition estimate of a
+failed solve.
 
 The medium stores one transmission constant, lambda1 (finite, nonzero).
-The operator groups depend on the grids and the wavenumbers only;
-lambda1 enters just their scalar weights and S.  The groups of the last
-assembly, and the factorization of A00 on them, are therefore kept and
-reused while the same grid objects (compared by identity), the same
-(k0, k1, k2) and, for the factorization, the same lambda0 recur, as when
-one geometry is solved at several lambda1; a new grid object always
+The operator groups depend on the grids and the wavenumbers only, and
+A00 on lambda0 too, a fixed property of the medium; lambda1 enters just
+the groups' scalar weights and S.  The groups of the last assembly and
+the factorization of A00 on them are therefore kept as one block set,
+keyed by the grid objects (compared by identity) and (k0, k1, k2,
+lambda0), and reused while that key recurs, as when one geometry is
+solved at several lambda1; any other key, a new grid object included,
 reassembles, and so does every Newton iterate.  The groups are shared,
 read-only arrays.  The close-curves warning comes only from an assembly
 that actually runs.
@@ -100,8 +103,6 @@ class MediumParams:
             raise ConfigurationError("lambda0 must be positive")
         if self.lambda1 == 0.0:
             raise ConfigurationError("lambda1 must be nonzero")
-        if abs(1.0 + self.lambda0) < LAMBDA_POLE_GUARD:
-            raise ConfigurationError("lambda0 too close to -1 (mu0 pole)")
         if abs(1.0 + self.lambda1) < LAMBDA_POLE_GUARD:
             raise ConfigurationError("lambda1 too close to -1 (mu1 pole)")
 
@@ -185,62 +186,50 @@ class BoundaryTraces:
     duds1: np.ndarray
 
 
-class _InterfaceFactor(NamedTuple):
-    """The lambda1-free part of the block factorization, for one lambda0:
-    the LU factors of A00^T and C = B10 A00^-1 B01."""
-
-    lambda0: float
-    lu: tuple
-    c: np.ndarray
-
-
 @dataclass(eq=False)
 class _BlockSet:
-    """The operator groups of one assembly, keyed by its grids (by
-    identity) and wavenumbers, and the interface factorization of the
-    last system factored on them."""
+    """The operator groups of one assembly under its ``key`` = (grid0,
+    grid1, k0, k1, k2, lambda0), where grids compare by identity.  The
+    first system factored on the set stores the lambda1-free part of its
+    factorization here: ``lu``, the LU factors of A00^T, and ``c``, C =
+    B10 A00^-1 B01."""
 
-    grid0: DiscretizedBoundary
-    grid1: DiscretizedBoundary
-    ks: tuple
+    key: tuple
     blocks: dict
-    interface: _InterfaceFactor | None = None
+    lu: tuple | None = None
+    c: np.ndarray | None = None
 
 
 # The block set of the last assembly, or None.  One slot: systems on the
-# same grid objects and wavenumbers, such as one geometry at several
-# lambda1, share one block set and its interface factorization, and at
-# most one set outlives the systems that use it.
+# same key, such as one geometry at several lambda1, share one block set
+# and its interface factorization, and at most one set outlives the
+# systems that use it.
 _last_blocks = None
 
 
 def _operator_blocks(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
                      params: MediumParams) -> _BlockSet:
     """The block set of the system: that of the last assembly when its
-    grids are these very objects and its (k0, k1, k2) are equal, else
-    assembled anew.  The groups are shared between systems and read-only."""
+    grids are these very objects and its (k0, k1, k2, lambda0) are
+    equal, else assembled anew.  The groups are shared between systems
+    and read-only."""
     global _last_blocks
-    ks = (params.k0, params.k1, params.k2)
-    if _last_blocks is not None:
-        last = _last_blocks
-        if last.grid0 is grid0 and last.grid1 is grid1 and last.ks == ks:
-            return last
-        # drop the old set before building the new one, so that two sets
-        # are never alive at once
-        _last_blocks = last = None
-    k0, k1, k2 = ks
-    b0_k0 = assemble_blocks(grid0, grid0, k0)
-    b0_k1 = assemble_blocks(grid0, grid0, k1)
-    b1_k1 = assemble_blocks(grid1, grid1, k1)
-    if k2 == k1:
-        b1_k2 = b1_k1
-    else:
-        b1_k2 = assemble_blocks(grid1, grid1, k2)
-    c01 = assemble_blocks(grid0, grid1, k1)
-    c10 = assemble_blocks(grid1, grid0, k1)
-    blocks = {"0k0": b0_k0, "0k1": b0_k1, "1k1": b1_k1, "1k2": b1_k2,
-              "01": c01, "10": c10}
-    _last_blocks = _BlockSet(grid0, grid1, ks, blocks)
+    # DiscretizedBoundary compares by identity
+    key = (grid0, grid1, params.k0, params.k1, params.k2, params.lambda0)
+    if _last_blocks is not None and _last_blocks.key == key:
+        return _last_blocks
+    # drop the old set before building the new one, so that two sets are
+    # never alive at once
+    _last_blocks = None
+    k0, k1, k2 = params.k0, params.k1, params.k2
+    blocks = {"0k0": assemble_blocks(grid0, grid0, k0),
+              "0k1": assemble_blocks(grid0, grid0, k1),
+              "1k1": assemble_blocks(grid1, grid1, k1)}
+    blocks["1k2"] = (blocks["1k1"] if k2 == k1
+                     else assemble_blocks(grid1, grid1, k2))
+    blocks["01"] = assemble_blocks(grid0, grid1, k1)
+    blocks["10"] = assemble_blocks(grid1, grid0, k1)
+    _last_blocks = _BlockSet(key, blocks)
     return _last_blocks
 
 
@@ -255,13 +244,6 @@ def _lu_of_transpose(mat, first_column):
         raise SolverError("transmission system singular: zero pivot in "
                           f"column {first_column + zero[0]}")
     return lu, piv
-
-
-def _lu_solve(factors, b, trans):
-    """Solve with the LU factors of M^T: M x = b for ``trans=1``, M^T x = b
-    for ``trans=0``."""
-    x, _ = zgetrs(*factors, b, trans=trans)
-    return x
 
 
 def _scale_halves(v, scales, out=None):
@@ -336,7 +318,7 @@ class TransmissionSystem:
         for name, term in self._terms.items():
             if (term.row, term.col) != (row, col):
                 continue
-            g = self.blocks[name].g
+            g = self.blocks[name]
             m, n = g.shape[0] // 2, g.shape[1] // 2
             for i, a in enumerate(term.row_scales):
                 for j, b in enumerate(term.col_scales):
@@ -367,7 +349,7 @@ class TransmissionSystem:
         transpose, the term of A^T): one product with the group, or with
         each of its K and KT quadrants for a diagonal term."""
         term = self._terms[name]
-        g, row_scales, col_scales = (self.blocks[name].g, term.row_scales,
+        g, row_scales, col_scales = (self.blocks[name], term.row_scales,
                                      term.col_scales)
         if transposed:
             g, row_scales, col_scales = g.T, col_scales, row_scales
@@ -390,63 +372,52 @@ class TransmissionSystem:
                                                transposed)
         return out
 
-    def _factor_interface(self) -> _InterfaceFactor:
-        """Factor the interface block A00 of (I+A) in place and eliminate
-        it from the cross-curve coupling, from lambda1-free inputs only, so
-        that a reused factorization is bit-identical to a fresh one."""
-        p = self.params
-        n0 = 2 * self.grid0.size
-        a00 = self._add_block(0, 0, np.zeros((n0, n0), dtype=complex))
-        lu = _lu_of_transpose(a00, 0)
-        # X = A00^-1 B01 with B01 = diag(-mu0 I, mu0 lambda0 I) G01, written
-        # in Fortran order so that the solve overwrites it; C = B10 X with
-        # B10 = diag(I, -I) G10.  X is dropped once C is formed
-        g01 = self.blocks["01"].g
-        x = np.empty(g01.shape[::-1], dtype=complex).T
-        _scale_halves(g01, (-p.mu0, p.mu0 * p.lambda0), x)
-        x, _ = zgetrs(*lu, x, trans=1, overwrite_b=1)
-        c = _scale_halves(self.blocks["10"].g @ x, (1.0, -1.0))
-        return _InterfaceFactor(p.lambda0, lu, c)
-
     def _factor(self):
-        p = self.params
-        n1 = self.grid1.size
-        block_set = self._block_set
-        iface = block_set.interface
-        if iface is None or iface.lambda0 != p.lambda0:
-            block_set.interface = None  # one interface factorization per set
-            iface = self._factor_interface()
-            block_set.interface = iface
-        self._interface = iface
+        """Factor the interface block A00 of (I+A) in place and eliminate
+        it from the cross-curve coupling, once per block set: the inputs
+        are lambda1-free, so a reused factorization is bit-identical to a
+        fresh one.  Then build and factor the Schur complement S."""
+        p, block_set = self.params, self._block_set
+        if block_set.lu is None:
+            n0 = 2 * self.grid0.size
+            a00 = self._add_block(0, 0, np.zeros((n0, n0), dtype=complex))
+            lu = _lu_of_transpose(a00, 0)
+            # X = A00^-1 B01 with B01 = diag(-mu0 I, mu0 lambda0 I) G01,
+            # written in Fortran order so that the solve overwrites it; C =
+            # B10 X with B10 = diag(I, -I) G10.  X is dropped once C is
+            # formed
+            g01 = self.blocks["01"]
+            x = np.empty(g01.shape[::-1], dtype=complex).T
+            _scale_halves(g01, (-p.mu0, p.mu0 * p.lambda0), x)
+            x, _ = zgetrs(*lu, x, trans=1, overwrite_b=1)
+            block_set.c = _scale_halves(self.blocks["10"] @ x, (1.0, -1.0))
+            block_set.lu = lu
+            del x
         # S = A11 - mu1 C D, built in one new array
+        n1 = self.grid1.size
         weight = np.full(2 * n1, -p.mu1)
         weight[:n1] = -(p.mu1 * p.lambda1)
-        schur = self._add_block(1, 1, np.multiply(iface.c, weight))
+        schur = self._add_block(1, 1, np.multiply(block_set.c, weight))
         self._schur_lu = _lu_of_transpose(schur, 2 * self.grid0.size)
 
-    def _raw_solve(self, rhs):
+    def _raw_solve(self, rhs, transposed=False):
         """(I+A)^-1 rhs by block substitution: x1 = S^-1 (b1 - A10 A00^-1
-        b0), then x0 = A00^-1 (b0 - A01 x1)."""
-        lu0 = self._interface.lu
+        b0), then x0 = A00^-1 (b0 - A01 x1).  With ``transposed``,
+        (I+A)^-T rhs by the same steps with A00^-T, S^-T, A01^T in place
+        of A10 and A10^T in place of A01.  The LUs are of the transposes,
+        so LAPACK's trans=1 solves with the matrices themselves."""
+        trans, first, second = ((0, "01", "10") if transposed
+                                else (1, "10", "01"))
+        lu0 = self._block_set.lu
         b0, b1 = rhs[self._cut(0)], rhs[self._cut(1)]
         x = np.empty(rhs.shape, dtype=complex)
-        z0 = _lu_solve(lu0, b0, 1)
-        x[self._cut(1)] = x1 = _lu_solve(self._schur_lu,
-                                         b1 - self._product("10", z0), 1)
-        x[self._cut(0)] = _lu_solve(lu0, b0 - self._product("01", x1), 1)
+        z0, _ = zgetrs(*lu0, b0, trans=trans)
+        x1, _ = zgetrs(*self._schur_lu,
+                       b1 - self._product(first, z0, transposed), trans=trans)
+        x[self._cut(1)] = x1
+        x[self._cut(0)], _ = zgetrs(
+            *lu0, b0 - self._product(second, x1, transposed), trans=trans)
         return x
-
-    def _raw_solve_transposed(self, rhs):
-        """(I+A)^-T rhs by block substitution: w0 = A00^-T g0, y1 = S^-T
-        (g1 - A01^T w0), then y0 = A00^-T (g0 - A10^T y1)."""
-        lu0 = self._interface.lu
-        g0, g1 = rhs[self._cut(0)], rhs[self._cut(1)]
-        y = np.empty(rhs.shape, dtype=complex)
-        w0 = _lu_solve(lu0, g0, 0)
-        y[self._cut(1)] = y1 = _lu_solve(
-            self._schur_lu, g1 - self._product("01", w0, True), 0)
-        y[self._cut(0)] = _lu_solve(lu0, g0 - self._product("10", y1, True), 0)
-        return y
 
     @cached_property
     def _col_scale(self):
@@ -469,25 +440,25 @@ class TransmissionSystem:
         col[col == 0.0] = 1.0
         return col
 
-    def _refined(self, b, raw_solve, matvec, weight=None):
-        """Solve matvec(x) = b by ``raw_solve`` with at most three
-        refinement steps.  Every column must end with max|res| <=
-        RESIDUAL_RTOL max|b|, both divided elementwise by ``weight`` when
-        it is given."""
+    def _refined(self, b, transposed=False, weight=None):
+        """Solve (I+A) x = b, or (I+A)^T x = b when ``transposed``, by
+        ``_raw_solve`` with at most three refinement steps.  Every column
+        must end with max|res| <= RESIDUAL_RTOL max|b|, both divided
+        elementwise by ``weight`` when it is given."""
         def size(v):
             v = np.abs(v) if weight is None else np.abs(v) / weight[:, None]
             return np.max(v, axis=0)
 
-        x = raw_solve(b)
+        x = self._raw_solve(b, transposed)
         scale = size(b)
         scale[scale == 0.0] = 1.0
         for refinements in range(4):  # at most three refinement steps
-            res = b - matvec(x)
+            res = b - self._apply(x, transposed)
             res_size = size(res)
             ok = np.all(res_size <= RESIDUAL_RTOL * scale)
             if ok or refinements == 3:
                 break
-            x = x + raw_solve(res)
+            x = x + self._raw_solve(res, transposed)
         if not ok:
             cond = np.linalg.cond(self._dense(), 1)
             raise SolverError(
@@ -502,7 +473,7 @@ class TransmissionSystem:
         rhs = np.asarray(rhs, dtype=complex)
         single = rhs.ndim == 1
         b = rhs[:, None] if single else rhs
-        x = self._refined(b, self._raw_solve, self._apply)
+        x = self._refined(b)
         return x[:, 0] if single else x
 
     def solve(self, data: BoundaryData) -> DensityVector:
@@ -545,9 +516,7 @@ class TransmissionSystem:
         n0 = self.grid0.size
         g[:n0] = self.params.lambda0 * k_mat.T
         g[n0:2 * n0] = s_mat.T
-        wt = self._refined(g, self._raw_solve_transposed,
-                           lambda v: self._apply(v, transposed=True),
-                           self._col_scale)
+        wt = self._refined(g, True, self._col_scale)
         return wt.T
 
     # -- boundary traces ---------------------------------------------------
@@ -562,10 +531,10 @@ class TransmissionSystem:
         # buried curve: G0k1 (psi1; psi2) + G01 (lambda1 psi3; psi4) and
         # G1k2 (psi3; psi4), plus the jump terms
         x1 = np.concatenate([ps3, ps4])
-        v0 = (self.blocks["0k1"].g @ np.concatenate([ps1, ps2])
-              + self.blocks["01"].g @ _scale_halves(x1, (p.lambda1, 1.0),
-                                                     np.empty_like(x1)))
-        v1 = self.blocks["1k2"].g @ x1
+        v0 = (self.blocks["0k1"] @ np.concatenate([ps1, ps2])
+              + self.blocks["01"] @ _scale_halves(x1, (p.lambda1, 1.0),
+                                                  np.empty_like(x1)))
+        v1 = self.blocks["1k2"] @ x1
         u0 = v0[:n0] - 0.5 * ps1
         dn0 = v0[n0:] + 0.5 * ps2
         u1 = v1[:n1] - 0.5 * ps3

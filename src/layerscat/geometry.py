@@ -134,18 +134,18 @@ class StarlikeShape:
         rp, rpp = (np.stack([1j * l * w, -l * l * w]) @ z).real
         return tuple(v.reshape(theta.shape) for v in (r, rp, rpp))
 
-    def validate(self, floor=RADIUS_FLOOR, n_check=VALIDATION_GRID):
+    def validate(self):
         """Raise GeometryError unless the center and r(theta) are finite
-        and r(theta) >= floor on a dense grid; return the grid radii."""
-        theta = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
+        and r(theta) >= RADIUS_FLOOR on a dense grid; return its radii."""
+        theta = np.linspace(0.0, 2.0 * np.pi, VALIDATION_GRID, endpoint=False)
         r = self.radius(theta)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(self.center))):
             raise GeometryError(
                 f"starlike curve is not finite (center {tuple(self.center)})")
         rmin = float(np.min(r))
-        if rmin < floor:
+        if rmin < RADIUS_FLOOR:
             raise GeometryError(
-                f"starlike radius dips to {rmin:.4g} < floor {floor} "
+                f"starlike radius dips to {rmin:.4g} < floor {RADIUS_FLOOR} "
                 f"(center {tuple(self.center)})"
             )
         return r
@@ -748,7 +748,7 @@ def _polyline_separation(p, q):
 
 
 def validate_pair(outer: ParametricCurve, inner: ParametricCurve,
-                  margin=CONTAINMENT_MARGIN, n_check=VALIDATION_GRID) -> float:
+                  n_check=VALIDATION_GRID) -> float:
     """Check the buried curve lies strictly inside the outer one and
     return the minimum distance between their polylines.
 
@@ -756,8 +756,8 @@ def validate_pair(outer: ParametricCurve, inner: ParametricCurve,
     below RADIUS_FLOOR, any inner node falls outside the outer polygon
     (by angular sector about a starlike outer curve's center,
     ``_points_in_star``, else by ray casting), the polylines come closer
-    than ``margin``, or they intersect.  Both polyline checks are exact,
-    with L_max the longest segment:
+    than CONTAINMENT_MARGIN, or they intersect.  Both polyline checks
+    are exact, with L_max the longest segment:
 
     * candidate reach: the minimum over (vertex, segment) pairs is at
       most the smallest vertex-to-vertex distance d_v, and the point of
@@ -783,9 +783,10 @@ def validate_pair(outer: ParametricCurve, inner: ParametricCurve,
     if not np.all(inside):
         raise GeometryError("buried boundary is not strictly inside the interface")
     dmin, l_outer, l_inner = _polyline_separation(pts_outer, pts_inner)
-    if dmin < margin:
+    if dmin < CONTAINMENT_MARGIN:
         raise GeometryError(
-            f"boundaries too close: min distance {dmin:.4g} < margin {margin}"
+            f"boundaries too close: min distance {dmin:.4g} < margin "
+            f"{CONTAINMENT_MARGIN}"
         )
     # the relative slack keeps the bound safe against roundoff in dmin
     if (2.0 * dmin <= min(l_outer, l_inner) * (1.0 + 1e-9)

@@ -50,7 +50,7 @@ Every kernel is i H a with a Hankel function H = J + iY and a real
 factor a, so the real and imaginary parts (-Y a and J a) are computed
 apart and written straight into the one C-order group matrix
 G = [[K, S], [T, KT]] that holds the four blocks of a (target, source,
-k); the kinds are views of its quadrants (``BlockGroup``).  A cross
+k); each kind is one quadrant of it (``_quadrant``).  A cross
 block is evaluated a panel of target rows at a time, at most
 CROSS_PANEL_ENTRIES fine-grid entries each, which bounds the kernel
 arrays alive at once; q, the fine grid and the close-curves warning
@@ -351,24 +351,13 @@ def _parts(g, kind, rows=slice(None)):
     return block.real, block.imag
 
 
-class BlockGroup(dict):
-    """The S/K/KT/T blocks of one (target, source, k), held as one C-order
-    complex matrix ``g`` = [[K, S], [T, KT]] of shape (2m, 2n), m and n the
-    target's and the source's node counts.  As a dict it maps each kind
-    to a view of its quadrant; ``g`` is read-only when the views are
-    made, so they are too."""
-
-    def __init__(self, g):
-        super().__init__((kind, _quadrant(g, kind)) for kind in KINDS)
-        self.g = g
-
-
 def assemble_blocks(target: DiscretizedBoundary, source: DiscretizedBoundary,
-                    k: float) -> BlockGroup:
+                    k: float) -> np.ndarray:
     """Assemble the S/K/KT/T blocks (see module docstring) of one
     (target, source, k) pair, sharing kernel evaluations.  Returns their
-    read-only ``BlockGroup``: {kind: dense matrix mapping source-grid
-    densities to target-grid values}."""
+    read-only group matrix [[K, S], [T, KT]], of shape (2m, 2n) for m
+    target and n source nodes: each kind maps source-grid densities to
+    target-grid values."""
     pd = _PairData(target, source, k)
     g = np.empty((2 * target.size, 2 * source.size), dtype=complex)
     if pd.same:
@@ -376,11 +365,10 @@ def assemble_blocks(target: DiscretizedBoundary, source: DiscretizedBoundary,
     else:
         _cross_curve_group(pd, g)
     g.setflags(write=False)
-    group = BlockGroup(g)
-    for kind, block in group.items():
-        if not np.all(np.isfinite(block)):
+    for kind in KINDS:
+        if not np.all(np.isfinite(_quadrant(g, kind))):
             raise SolverError(f"non-finite entries in {kind} block at k={k}")
-    return group
+    return g
 
 
 def assemble_farfield(source: DiscretizedBoundary, k0: float, directions):

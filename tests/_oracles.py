@@ -17,7 +17,8 @@ resolution for the resolution ladder.  The Hankel,
 fundamental-solution, potential and trapezoid helpers are built on the
 package's Bessel functions and grids, and the H^s norm and the config
 writer on its coefficient layout and config fields; only the tests use
-them.
+them.  ``kinds`` names the S/K/KT/T quadrants of an operator group
+matrix.
 """
 
 import dataclasses
@@ -35,7 +36,7 @@ from layerscat.errors import ConfigurationError, DomainError, SolverError
 from layerscat.forward import DensityVector, TransmissionSystem
 from layerscat.frechet import derivative_boundary_data
 from layerscat.geometry import discretize
-from layerscat.operators import BlockGroup
+from layerscat.operators import KINDS, _quadrant
 from layerscat.specfun import bessel_j0j1y0y1
 
 mp.mp.dps = 50
@@ -306,7 +307,7 @@ def transmission_matrix(system):
     mu0, mu1, la0, la1 = p.mu0, p.mu1, p.lambda0, p.lambda1
 
     def b(group, kind):
-        return system.blocks[group][kind]
+        return kinds(system.blocks[group])[kind]
 
     rows = [
         [mu0 * (la0 * b("0k0", "K") - b("0k1", "K")),
@@ -355,14 +356,18 @@ class FullLUSystem(TransmissionSystem):
             raise SolverError(
                 f"transmission system singular: zero pivot in column {zero[0]}")
 
-    def _raw_solve(self, rhs):
+    def _raw_solve(self, rhs, transposed=False):
+        if transposed:
+            # (I+A) = D_r S D_c, so (I+A)^T y = g is S^T (D_r y) = g / D_c
+            y = sla.lu_solve(self._lu, rhs / self._col_scale[:, None])
+            return y / self._row_scale[:, None]
         y = sla.lu_solve(self._lu, rhs / self._row_scale[:, None], trans=1)
         return y / self._col_scale[:, None]
 
-    def _raw_solve_transposed(self, rhs):
-        # (I+A) = D_r S D_c, so (I+A)^T y = g is S^T (D_r y) = g / D_c
-        y = sla.lu_solve(self._lu, rhs / self._col_scale[:, None])
-        return y / self._row_scale[:, None]
+
+def kinds(g):
+    """{kind: view of its quadrant} of the operator group matrix ``g``."""
+    return {kind: _quadrant(g, kind) for kind in KINDS}
 
 
 def hankel1_01(x):
@@ -436,7 +441,7 @@ def trig_interpolation_matrix(n, q):
 
 
 def cross_blocks_fixed_q(target, source, k, q=4):
-    """The ``BlockGroup`` of the S/K/KT/T cross-curve blocks by the
+    """The group matrix [[K, S], [T, KT]] of the cross-curve blocks by the
     trapezoid rule on a q-times oversampled source grid (carrying the
     source's node map), folded back onto the 2n source nodes with the
     transposed interpolation matrix: one fixed q for every pair, as the
@@ -458,7 +463,7 @@ def cross_blocks_fixed_q(target, source, k, q=4):
     fold = trig_interpolation_matrix(source.n, q)
     w = (np.pi / fine.n) * fine.speed
     b = {kind: (kern * w) @ fold for kind, kern in kernels.items()}
-    return BlockGroup(np.block([[b["K"], b["S"]], [b["T"], b["KT"]]]))
+    return np.block([[b["K"], b["S"]], [b["T"], b["KT"]]])
 
 
 def fixed_resolution_newton(state, data, k0, config):

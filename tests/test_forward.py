@@ -18,9 +18,8 @@ from layerscat.forward import (BoundaryData, MediumParams, TransmissionSystem,
                                solve_plane_wave)
 from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
                                 discretize_pair)
-from layerscat.operators import BlockGroup
 
-from _oracles import FullLUSystem, transmission_matrix
+from _oracles import FullLUSystem, kinds, transmission_matrix
 
 
 def _params(k0=2.0, lambda1=2.0, **kw):
@@ -43,6 +42,11 @@ def test_medium_params_create():
         MediumParams.create(k0=2.0, n1=0.64, lambda0=1.2, lambda1=-1.0 + 1e-9)
     with pytest.raises(ConfigurationError):
         MediumParams.create(k0=-1.0, n1=0.64, lambda0=1.2, lambda1=1.0)
+    for lambda0 in (0.0, -1.0 + 1e-9, -2.0):
+        with pytest.raises(ConfigurationError,
+                           match="lambda0 must be positive"):
+            MediumParams.create(k0=2.0, n1=0.64, lambda0=lambda0,
+                                lambda1=2.0)
 
 
 def _exact_reciprocal(mu):
@@ -75,8 +79,7 @@ def test_singular_system_raises_solver_error(monkeypatch, block, lambda1):
     blocks = forward.assemble_blocks
 
     def zero_column(target, source, k):
-        group = blocks(target, source, k)
-        g = group.g.copy()
+        g = blocks(target, source, k).copy()
         if block == 0 and target is source is g0:
             # column 0 of A00: e0 - mu0 * 1 from G0k1's K entry, mu0 = 1
             g[:, 0] = 0.0
@@ -87,7 +90,7 @@ def test_singular_system_raises_solver_error(monkeypatch, block, lambda1):
             # column 0 of A11: e0 - mu1 * v from G1k2's K entry
             g[:, 0] = 0.0
             g[0, 0] = _exact_reciprocal(params.mu1) if k == params.k2 else 0.0
-        return BlockGroup(g)
+        return g
 
     monkeypatch.setattr(forward, "_last_blocks", None)
     monkeypatch.setattr(forward, "assemble_blocks", zero_column)
@@ -381,7 +384,7 @@ def test_shared_blocks_and_grids_are_read_only(block_calls):
     g0, g1 = _pair()
     system = assemble_system(g0, g1, _params())
     for group in system.blocks.values():
-        for block in group.values():
+        for block in (group, *kinds(group).values()):
             assert not block.flags.writeable
             with pytest.raises(ValueError):
                 block[0, 0] = 1.0
@@ -402,7 +405,7 @@ def test_block_memo_drops_old_blocks_before_assembling(block_calls,
     built, so two sets are never alive at once."""
     g0, g1 = _pair()
     system = assemble_system(g0, g1, _params())
-    old = weakref.ref(system.blocks["0k0"]["S"])
+    old = weakref.ref(system.blocks["0k0"])
     del system
     assert old() is not None  # held by the memo alone
     alive_at_first_call = []
@@ -480,8 +483,7 @@ def test_block_factorization_matches_full_lu_oracle(block_calls, lambda1):
     # the raw solves too: refinement would hide an inexact factorization
     rhs = data.stacked(params.mu0, params.mu1)
     assert close(system._raw_solve(rhs), oracle._raw_solve(rhs))
-    assert close(system._raw_solve_transposed(rhs),
-                 oracle._raw_solve_transposed(rhs))
+    assert close(system._raw_solve(rhs, True), oracle._raw_solve(rhs, True))
     dens, dens_ref = system.solve(data), oracle.solve(data)
     for got, ref in zip(vars(dens).values(), vars(dens_ref).values()):
         assert close(got, ref)
@@ -563,8 +565,9 @@ def test_new_lambda1_factors_only_the_schur_complement(block_calls,
                                                        factorizations):
     """The first system on a block set factors the interface block
     (order 2 n0) and S (order 2 n1); a further lambda1 assembles no block
-    and factors S alone, and a new lambda0 factors the interface again
-    without assembling."""
+    and factors S alone.  lambda0 is part of the block-set key, so a new
+    lambda0 assembles and factors everything again, bit-identical to a
+    system built on an empty memo."""
     g0, g1 = discretize(ParametricCurve.preset("rounded_triangle"), 12), \
         discretize(ParametricCurve.preset("apple"), 10)
     first = assemble_system(g0, g1, _params(lambda1=1e-6))
@@ -573,14 +576,23 @@ def test_new_lambda1_factors_only_the_schur_complement(block_calls,
     block_calls.clear(), factorizations.clear()
     again = assemble_system(g0, g1, _params(lambda1=1e6))
     assert block_calls == [] and factorizations == [2 * g1.size]
-    assert again._interface is first._interface
-    factorizations.clear()
-    other = assemble_system(g0, g1, MediumParams.create(
-        k0=2.0, n1=0.64, lambda0=1.5, lambda1=1e6))
-    assert block_calls == []
+    assert again._block_set is first._block_set
+    block_calls.clear(), factorizations.clear()
+    params = MediumParams.create(k0=2.0, n1=0.64, lambda0=1.5, lambda1=1e6)
+    other = assemble_system(g0, g1, params)
+    assert len(block_calls) == 5
     assert factorizations == [2 * g0.size, 2 * g1.size]
-    assert other._interface is not first._interface
-    assert forward._last_blocks.interface is other._interface
+    assert other._block_set is not first._block_set
+    assert forward._last_blocks is other._block_set
+    forward._last_blocks = None
+    fresh = assemble_system(g0, g1, params)
+
+    data = plane_wave_data(g0, g1, 2.0, observation_directions(3))
+    rhs, obs = data.stacked(params.mu0, params.mu1), observation_directions(8)
+    assert _same_bits(other.solve_stacked(rhs), fresh.solve_stacked(rhs))
+    assert _same_bits(other.far_field(other.solve(data), obs),
+                      fresh.far_field(fresh.solve(data), obs))
+    assert _same_bits(other.far_field_rows(obs), fresh.far_field_rows(obs))
 
 
 def test_interface_factorization_is_freed_with_its_blocks(block_calls,
@@ -589,7 +601,7 @@ def test_interface_factorization_is_freed_with_its_blocks(block_calls,
     blocks, before the first new block is built."""
     g0, g1 = _pair()
     system = assemble_system(g0, g1, _params())
-    old = weakref.ref(system._interface.c)
+    old = weakref.ref(system._block_set.c)
     del system
     assert old() is not None  # held by the memo alone
     alive_at_first_call = []

@@ -205,21 +205,21 @@ def test_jacobian_is_one_solve_in_the_per_pair_layout(monkeypatch):
     dirs = canonical_directions(g0, g1, state.gamma1.center, 3, "lambda1",
                                 1.0)
     c = len(dirs.labels)
-    shapes, transposed = [], []
+    shapes, raw = [], []
     solve_stacked = TransmissionSystem.solve_stacked
-    raw_transposed = TransmissionSystem._raw_solve_transposed
+    raw_solve = TransmissionSystem._raw_solve
     monkeypatch.setattr(
         TransmissionSystem, "solve_stacked",
         lambda self, rhs: shapes.append(rhs.shape) or solve_stacked(self, rhs))
     monkeypatch.setattr(
-        TransmissionSystem, "_raw_solve_transposed",
-        lambda self, rhs: transposed.append(rhs.shape)
-        or raw_transposed(self, rhs))
+        TransmissionSystem, "_raw_solve",
+        lambda self, rhs, transposed=False: raw.append((transposed, rhs.shape))
+        or raw_solve(self, rhs, transposed))
     jac, res = jacobian(system, traces, ff.T, np.zeros_like(ff.T), dirs, obs)
     monkeypatch.undo()
     assert shapes == []
     size = 2 * (g0.size + g1.size)
-    assert transposed and set(transposed) == {(size, 16)}
+    assert raw and set(raw) == {(True, (size, 16))}
     assert jac.shape == (2 * 3 * 16, c)
     scale = np.max(np.abs(jac))
     for i in range(3):

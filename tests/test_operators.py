@@ -22,14 +22,14 @@ from layerscat.operators import (CROSS_PANEL_ENTRIES, _cross_oversample,
 
 from _oracles import (circle_double_layer_offset, circle_eigenvalues,
                       cross_blocks_fixed_q, evaluate_potential, hankel1_01,
-                      trig_interpolation_matrix)
+                      kinds, trig_interpolation_matrix)
 
 
 @pytest.mark.parametrize("radius,k,n", [(1.0, 2.0, 32), (2.4, 2.0, 32),
                                          (1.0, 1.6, 64), (0.5, 3.2, 32)])
 def test_same_curve_blocks_match_circle_eigenvalues(radius, k, n):
     g = discretize(ParametricCurve.preset("circle", radius=radius), n)
-    blocks = assemble_blocks(g, g, k)
+    blocks = kinds(assemble_blocks(g, g, k))
     for m in range(0, 13):
         vec = np.exp(1j * m * g.t)
         s_eig, k_eig, t_eig = circle_eigenvalues(radius, k, m)
@@ -43,7 +43,7 @@ def test_single_layer_constant_density_identity():
     # S[1] on the unit circle = (i pi / 2) J0(k) H0(k) at every node
     k = 2.0
     g = discretize(ParametricCurve.preset("circle", radius=1.0), 32)
-    val = assemble_blocks(g, g, k)["S"] @ np.ones(g.size)
+    val = kinds(assemble_blocks(g, g, k))["S"] @ np.ones(g.size)
     expected = 0.5j * np.pi * ssp.jv(0, k) * ssp.hankel1(0, k)
     assert np.max(np.abs(val - expected)) < 1e-12
 
@@ -54,7 +54,7 @@ def test_double_layer_laplace_limit():
     ones = np.ones(g.size)
     vals = {}
     for k in (2e-3, 1e-3):
-        vals[k] = assemble_blocks(g, g, k)["K"] @ ones
+        vals[k] = kinds(assemble_blocks(g, g, k))["K"] @ ones
     assert np.max(np.abs(vals[1e-3] + 0.5)) < 1e-4
     # Richardson in k^2 sharpens the limit by two orders
     extrap = (4 * vals[1e-3] - vals[2e-3]) / 3.0
@@ -66,7 +66,7 @@ def test_cross_block_against_brute_force():
     k = 2.0
     g_t = discretize(ParametricCurve.preset("circle", radius=2.4), 24)
     g_s = discretize(ParametricCurve.preset("circle", radius=0.5), 16)
-    block = assemble_blocks(g_t, g_s, k)["S"]
+    block = kinds(assemble_blocks(g_t, g_s, k))["S"]
     dens = np.exp(np.cos(g_s.t))
     g_fine = discretize(ParametricCurve.preset("circle", radius=0.5), 2048)
     diff = g_t.x[:, None, :] - g_fine.x[None, :, :]
@@ -88,7 +88,7 @@ def test_cross_block_on_graded_grids_against_brute_force():
     diff = g_t.x[:, None, :] - g_fine.x[None, :, :]
     r = np.linalg.norm(diff, axis=-1)
     fine_dens = np.exp(np.cos(g_fine.t))
-    blocks = assemble_blocks(g_t, g_s, k)
+    blocks = kinds(assemble_blocks(g_t, g_s, k))
     h0, h1 = ssp.hankel1(0, k * r), ssp.hankel1(1, k * r)
     # (x - y) . nu at the source point y and at the target point x
     q = np.sum(diff * g_fine.normal[None, :, :], axis=-1)
@@ -111,7 +111,7 @@ def test_cross_block_on_graded_grids_against_brute_force():
 def test_block_shapes_and_finiteness():
     g0 = discretize(ParametricCurve.preset("rounded_triangle"), 16)
     g1 = discretize(ParametricCurve.preset("apple"), 12)
-    b = blocks = assemble_blocks(g0, g1, 2.0)
+    b = blocks = kinds(assemble_blocks(g0, g1, 2.0))
     assert list(blocks) == ["S", "K", "KT", "T"]
     for b in blocks.values():
         assert b.shape == (32, 24)
@@ -140,7 +140,7 @@ def test_same_curve_spectral_self_convergence(name, k, tol):
     for n in (64, 128):
         g = discretize(curve, n)
         dens = np.exp(np.cos(g.t)) + 1j * np.sin(2 * g.t)
-        blocks = assemble_blocks(g, g, k)
+        blocks = kinds(assemble_blocks(g, g, k))
         vals[n] = {kind: blocks[kind] @ dens for kind in blocks}
     for kind in vals[64]:
         err = np.max(np.abs(vals[128][kind][::2] - vals[64][kind]))
@@ -330,14 +330,14 @@ def test_plain_block_is_the_source_grid_trapezoid(monkeypatch):
     k = 1.6
     for target, source in ((g0, g1), (g1, g0)):
         assert _PairData(target, source, k).fine is source
-        blocks = assemble_blocks(target, source, k)
+        blocks = kinds(assemble_blocks(target, source, k))
         diff = target.x[:, None, :] - source.x[None, :, :]
         r = np.sqrt(np.sum(diff * diff, axis=-1))
         h0, _ = hankel1_01(k * r)
         trap = 0.25j * h0 * (np.pi / source.n) * source.speed[None, :]
         assert (np.max(np.abs(blocks["S"] - trap))
                 <= 1e-15 * np.max(np.abs(trap)))
-        ref = cross_blocks_fixed_q(target, source, k, q=1)
+        ref = kinds(cross_blocks_fixed_q(target, source, k, q=1))
         for kind, block in blocks.items():
             assert (np.max(np.abs(block - ref[kind]))
                     <= 1e-13 * np.max(np.abs(ref[kind]))), kind
@@ -414,9 +414,9 @@ def test_cross_block_panels_are_exact(monkeypatch, panels, setup, q):
                         target.size * source.size * q)
     whole = assemble_blocks(target, source, k)
     assert len(panels) == 1
-    assert panelled.g.tobytes() == whole.g.tobytes()
-    for kind in ("S", "K", "KT", "T"):
-        assert panelled[kind].tobytes() == whole[kind].tobytes()
+    assert panelled.tobytes() == whole.tobytes()
+    for kind, block in kinds(panelled).items():
+        assert block.tobytes() == kinds(whole)[kind].tobytes()
 
 
 def test_inversion_blocks_are_one_panel(panels):
