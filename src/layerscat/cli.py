@@ -131,14 +131,16 @@ def _cmd_forward(args) -> int:
 def _cmd_invert(args) -> int:
     config = _load_config(args)
     dataset = data_io.read_dataset(args.data)
-    if dataset.values.shape[2] != config.n_obs:
-        raise ConfigurationError(
-            f"dataset has {dataset.values.shape[2]} observation points, "
-            f"config expects {config.n_obs}")
-    if dataset.values.shape[1] != config.num_incident:
-        raise ConfigurationError(
-            f"dataset has {dataset.values.shape[1]} incident directions, "
-            f"config expects {config.num_incident}")
+    # the solver takes both direction sets as uniform angle grids
+    for what, angles, count in (
+            ("observation points", dataset.obs_angles, config.n_obs),
+            ("incident directions", dataset.incident_angles,
+             config.num_incident)):
+        grid = 2.0 * np.pi * np.arange(count) / count
+        if len(angles) != count or np.max(np.abs(angles - grid)) > 1e-12:
+            raise ConfigurationError(
+                f"dataset's {len(angles)} {what} are not the config's "
+                f"{count} at the angles 2 pi (i - 1) / {count}")
     state0 = _initial_state(args, config)
     state, trace = multi_frequency_drive(state0, dataset, config)
     out = _out_dir(args)

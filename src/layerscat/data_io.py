@@ -188,22 +188,25 @@ def read_dataset(path) -> Dataset:
         except ValueError as exc:
             raise DataFormatError(
                 f"{path}: line {lineno}: {exc}") from exc
+        if not np.all(np.isfinite((k0, dang, oang, re, im))):
+            raise DataFormatError(f"{path}: line {lineno}: non-finite field")
         rows.append((k0, d_index, dang, oang, re, im))
 
     freqs = sorted({r[0] for r in rows})
     d_indices = sorted({r[1] for r in rows})
+    d_angles = sorted({r[1:3] for r in rows})  # (d_index, d_angle_rad)
     obs_angles = sorted({r[3] for r in rows})
     q, p, n = len(freqs), len(d_indices), len(obs_angles)
     if len(rows) != q * p * n or d_indices != list(range(1, p + 1)):
         raise DataFormatError(
             f"{path}: rows do not form a full (k0, d_index, obs) grid")
+    if len(d_angles) != p:
+        raise DataFormatError(f"{path}: a d_index has several d_angle_rad")
     fpos = {f: i for i, f in enumerate(freqs)}
     opos = {a: i for i, a in enumerate(obs_angles)}
     values = np.full((q, p, n), np.nan + 0j)
-    inc_angles = np.full(p, np.nan)
     for k0, d_index, dang, oang, re, im in rows:
         values[fpos[k0], d_index - 1, opos[oang]] = re + 1j * im
-        inc_angles[d_index - 1] = dang
     if np.any(np.isnan(values)):
         raise DataFormatError(f"{path}: duplicate or missing grid entries")
 
@@ -215,7 +218,8 @@ def read_dataset(path) -> Dataset:
             delta, seed = float(md["delta"]), int(md["seed"])
         except (ValueError, KeyError) as exc:
             raise DataFormatError(f"{meta}: malformed sidecar: {exc}") from exc
-    return Dataset(frequencies=np.array(freqs), incident_angles=inc_angles,
+    return Dataset(frequencies=np.array(freqs),
+                   incident_angles=np.array([a for _, a in d_angles]),
                    obs_angles=np.array(obs_angles), values=values,
                    delta=delta, seed=seed)
 
@@ -241,8 +245,6 @@ def read_config(path) -> SolverConfig:
     if unknown:
         raise ConfigurationError(
             f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
-    doc = dict(doc)
-    doc["frequencies"] = tuple(doc["frequencies"])
     return SolverConfig(**doc)
 
 

@@ -105,6 +105,28 @@ class SolverConfig:
     k2: object = "k1"
 
     def __post_init__(self):
+        def number(value, kinds=(int, float)):  # finite, and not a bool
+            return (isinstance(value, kinds) and not isinstance(value, bool)
+                    and abs(value) < float("inf"))
+
+        for name, value in vars(self).items():
+            if name in INT_FIELDS:  # counts, each at least 1 (modes 0 too)
+                least = int(name != "modes")
+                ok = number(value, int) and value >= least
+                want = f"an integer >= {least}"
+            elif name == "center_update_iterations":
+                ok = value is None or number(value, int)
+                want = "null or an integer"
+            elif name == "k2":
+                ok = value == "k1" or number(value) and value > 0
+                want = '"k1" or a positive number'
+            elif name == "frequencies":
+                ok = isinstance(value, (list, tuple)) and all(map(number, value))
+                want = "a list of numbers"
+            else:
+                ok, want = number(value), "a finite number"
+            if not ok:
+                raise ConfigurationError(f"{name} must be {want}, got {value!r}")
         if not 0.0 < self.rho < 1.0:
             raise ConfigurationError("rho must lie in (0, 1)")
         if self.tau_stop <= 1.0:
@@ -115,9 +137,6 @@ class SolverConfig:
         if any(b <= a for a, b in zip(freqs, freqs[1:])) or not freqs:
             raise ConfigurationError("frequencies must be strictly increasing")
         self.frequencies = freqs
-        for name in INT_FIELDS:
-            if getattr(self, name) < 1 and not (name == "modes" and self.modes == 0):
-                raise ConfigurationError(f"{name} must be positive")
 
     def medium(self, k0: float, lambda1: float) -> MediumParams:
         return MediumParams.create(k0=k0, n1=self.n1, lambda0=self.lambda0,
@@ -128,7 +147,7 @@ class SolverConfig:
                 or m < self.center_update_iterations)
 
 
-# the fields with an integer default: counts, each at least 1 (modes 0 too)
+# the fields with an integer default
 INT_FIELDS = tuple(f.name for f in fields(SolverConfig)
                    if type(f.default) is int)
 

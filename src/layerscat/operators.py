@@ -50,19 +50,21 @@ Every kernel is i H a with a Hankel function H = J + iY and a real
 factor a, so the real and imaginary parts (-Y a and J a) are computed
 apart and written straight into the one C-order group matrix
 G = [[K, S], [T, KT]] that holds the four blocks of a (target, source,
-k); each kind is one quadrant of it (``_quadrant``).  A cross
-block is evaluated a panel of target rows at a time, at most
+k); each kind is one quadrant of it (``_quadrant``).  ``_kernels`` gives
+the normal projections and J0, J1, Y0, Y1 from given differences; only
+``assemble_blocks`` tells same-curve from cross-curve pairs.
+``_same_curve_group`` owns the r = 0 placeholder and the diagonal
+limits, ``_cross_curve_group`` the block's q, fine grid and close-curves
+warning.  It evaluates a panel of target rows at a time, at most
 CROSS_PANEL_ENTRIES fine-grid entries each, which bounds the kernel
-arrays alive at once; q, the fine grid and the close-curves warning
-belong to the whole block, and rows are independent, so the blocks do
-not depend on the panels.
+arrays alive at once; rows are independent, so the blocks do not depend
+on the panels.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -99,64 +101,17 @@ def _log_4sin2(n: int):
     return mat
 
 
-class _PairData:
-    """The grids of one (target, source, k) combination and the kernel
-    evaluations its blocks share.  A cross pair fixes its ``fine`` grid
-    (its oversampling) here; ``kernels`` then evaluates target rows
-    against it."""
-
-    def __init__(self, target: DiscretizedBoundary, source: DiscretizedBoundary,
-                 k: float):
-        self.target = target
-        self.source = source
-        self.k = k
-        self.same = target is source
-        self.fine = source
-        self._diffs = None  # the source-grid differences, kept when q = 1
-        if not self.same:
-            diffs = _differences(target, source)
-            q = _cross_oversample(source, k, *diffs)
-            if q > 1:
-                # the fine grid must carry the source grid's node map, or
-                # the interpolated density would sit at the wrong points
-                self.fine = discretize(source.curve, source.n * q,
-                                       source.node_map)
-            else:
-                self._diffs = diffs
-
-    def kernels(self, rows=slice(None)):
-        """r = |x - y|, the normal projections nu(x) . (x - y) / r and
-        nu(y) . (x - y) / r, and J0, J1, Y0, Y1 at k r, for the target
-        rows ``rows`` against the fine grid; all real (see module
-        docstring).  Same-curve pairs take whole blocks only."""
-        target, fine = self.target, self.fine
-        if self._diffs is None:
-            dx, dy, r = _differences(target, fine, rows)
-        else:
-            dx, dy, r = (d[rows] for d in self._diffs)
-        if self.same:
-            np.fill_diagonal(r, 1.0)  # placeholder; diagonals are analytic
-        p_tgt = (dx * target.normal[rows, 0, None]
-                 + dy * target.normal[rows, 1, None]) / r
-        p_src = (dx * fine.normal[None, :, 0]
-                 + dy * fine.normal[None, :, 1]) / r
-        j0, j1, y0, y1 = bessel_j0j1y0y1(self.k * r)
-        if self.same:
-            # the limits at r = 0, which the logarithmic split takes on
-            # the diagonal
-            np.fill_diagonal(j0, 1.0)
-            np.fill_diagonal(j1, 0.0)
-        return _Kernels(r, p_tgt, p_src, j0, j1, y0, y1)
-
-
-class _Kernels(NamedTuple):
-    r: np.ndarray
-    p_tgt: np.ndarray
-    p_src: np.ndarray
-    j0: np.ndarray
-    j1: np.ndarray
-    y0: np.ndarray
-    y1: np.ndarray
+def _kernels(target: DiscretizedBoundary, source: DiscretizedBoundary,
+             k: float, dx, dy, r, rows=slice(None)):
+    """The normal projections nu(x) . (x - y) / r and nu(y) . (x - y) / r,
+    and J0, J1, Y0, Y1 at k r, for the target rows ``rows`` against the
+    source grid, from their differences ``dx``, ``dy`` and distances
+    ``r``; all real (see module docstring)."""
+    p_tgt = (dx * target.normal[rows, 0, None]
+             + dy * target.normal[rows, 1, None]) / r
+    p_src = (dx * source.normal[None, :, 0]
+             + dy * source.normal[None, :, 1]) / r
+    return (p_tgt, p_src, *bessel_j0j1y0y1(k * r))
 
 
 def _differences(target: DiscretizedBoundary, source: DiscretizedBoundary,
@@ -196,24 +151,25 @@ def _cross_oversample(source: DiscretizedBoundary, k: float, dx, dy, r):
     return CROSS_OVERSAMPLE
 
 
-def _single_layer_diag(grid: DiscretizedBoundary, k: float):
-    """Real part of the diagonal of the smooth part of the arc-length
-    single-layer kernel (its imaginary part is speed / 4)."""
-    return (-(EULER_GAMMA + np.log(0.5 * k * grid.speed)) * grid.speed
-            / (2.0 * np.pi))
-
-
-def _same_curve_group(pd: _PairData, g):
-    """Write the same-curve blocks into the group matrix ``g``."""
-    grid = pd.target
+def _same_curve_group(grid: DiscretizedBoundary, k: float, g):
+    """Write the same-curve blocks of ``grid`` at wavenumber ``k`` into the
+    group matrix ``g``."""
     n = grid.n
-    k = pd.k
-    kv = pd.kernels()
+    dx, dy, r = _differences(grid, grid)
+    np.fill_diagonal(r, 1.0)  # placeholder; diagonals are analytic
+    p_tgt, p_src, j0, j1, y0, y1 = _kernels(grid, grid, k, dx, dy, r)
+    del dx, dy, r
+    # the limits at r = 0, which the logarithmic split takes on the diagonal
+    np.fill_diagonal(j0, 1.0)
+    np.fill_diagonal(j1, 0.0)
     rmat = log_weight_matrix(n)
     log_4sin2 = _log_4sin2(n)
     trap = np.pi / n
     speed_row = grid.speed[None, :]
-    s_diag = _single_layer_diag(grid, k)
+    # the real part of the diagonal of the smooth part of the arc-length
+    # single-layer kernel (its imaginary part is speed / 4)
+    s_diag = (-(EULER_GAMMA + np.log(0.5 * k * grid.speed)) * grid.speed
+              / (2.0 * np.pi))
     k_diag = -grid.curvature * grid.speed / (4.0 * np.pi)
 
     def log_rule(j, y, a, diag, out=None):
@@ -234,17 +190,15 @@ def _same_curve_group(pd: _PairData, g):
         im += 0.0  # +0.0 where J a is a negative zero, as re + 1j * im gave
         return out
 
-    log_rule(kv.j0, kv.y0, 0.25 * speed_row, s_diag, _parts(g, "S"))
-    log_rule(kv.j1, kv.y1, (0.25 * k) * kv.p_src * speed_row, k_diag,
-             _parts(g, "K"))
-    log_rule(kv.j1, kv.y1, (-0.25 * k) * kv.p_tgt * speed_row, k_diag,
-             _parts(g, "KT"))
+    log_rule(j0, y0, 0.25 * speed_row, s_diag, _parts(g, "S"))
+    log_rule(j1, y1, (0.25 * k) * p_src * speed_row, k_diag, _parts(g, "K"))
+    log_rule(j1, y1, (-0.25 * k) * p_tgt * speed_row, k_diag, _parts(g, "KT"))
     # parametric single layer (no arc-length factor) minus its
     # constant-coefficient log part
-    p_sharp = log_rule(kv.j0, kv.y0, 0.25, s_diag / grid.speed)
+    p_sharp = log_rule(j0, y0, 0.25, s_diag / grid.speed)
     p_sharp[0] += rmat / (4.0 * np.pi)
     nu_dot = grid.normal @ grid.normal.T
-    q_block = log_rule(kv.j0, kv.y0, (0.25 * k * k) * nu_dot * speed_row,
+    q_block = log_rule(j0, y0, (0.25 * k * k) * nu_dot * speed_row,
                        k * k * s_diag)
     dmat = _spectral_diff_matrix(n)
     t_block = dmat @ p_sharp @ dmat
@@ -272,41 +226,52 @@ def _spectral_diff_matrix(n: int):
     return mat
 
 
-def _cross_curve_group(pd: _PairData, g):
-    """Write the cross-curve blocks into the group matrix ``g``, one panel
-    of target rows at a time (see ``CROSS_PANEL_ENTRIES``)."""
-    gt, gf = pd.target, pd.fine
-    k = pd.k
-    m = gt.size
+def _cross_curve_group(target: DiscretizedBoundary,
+                       source: DiscretizedBoundary, k: float, g):
+    """Write the cross-curve blocks of (``target``, ``source``) at wavenumber
+    ``k`` into the group matrix ``g``, one panel of target rows at a time
+    (see ``CROSS_PANEL_ENTRIES``)."""
+    diffs = _differences(target, source)
+    q = _cross_oversample(source, k, *diffs)
+    fine = source
+    if q > 1:
+        diffs = None
+        # the fine grid must carry the source grid's node map, or the
+        # interpolated density would sit at the wrong points
+        fine = discretize(source.curve, source.n * q, source.node_map)
+    m = target.size
     # balanced panels of at least two rows: numpy multiplies a one-row
     # matrix by another BLAS path, which rounds nu_dot differently
-    count = max(1, min(m // 2, -(-m * gf.size // CROSS_PANEL_ENTRIES)))
+    count = max(1, min(m // 2, -(-m * fine.size // CROSS_PANEL_ENTRIES)))
     edges = [m * i // count for i in range(count + 1)]
     # trapezoid weight pi/n times arc length times the 1/4 of (i/4) H
-    w = (0.25 * np.pi / gf.n) * gf.speed
-    fold = gf is not pd.source
+    w = (0.25 * np.pi / fine.n) * fine.speed
     dmin = np.inf
     for lo, hi in zip(edges[:-1], edges[1:]):
         rows = slice(lo, hi)
-        kv = pd.kernels(rows)
-        dmin = min(dmin, float(np.min(kv.r)))
-        if fold:
-            parts = np.empty((2,) + kv.r.shape)  # fine-grid (real, imaginary)
+        dx, dy, r = (_differences(target, fine, rows) if q > 1
+                     else (d[rows] for d in diffs))
+        p_tgt, p_src, j0, j1, y0, y1 = _kernels(target, fine, k, dx, dy, r,
+                                                rows)
+        del dx, dy
+        dmin = min(dmin, float(np.min(r)))
+        if q > 1:
+            parts = np.empty((2,) + r.shape)  # fine-grid (real, imaginary)
         for kind in KINDS:
             dest = _parts(g, kind, rows)
-            re, im = parts if fold else dest
+            re, im = parts if q > 1 else dest
             # the kernel is i (H0 a0 + H1 a1) with real factors a0, a1
             if kind == "S":
-                terms = [(kv.j0, kv.y0, w)]
+                terms = [(j0, y0, w)]
             elif kind == "K":
-                terms = [(kv.j1, kv.y1, (k * w) * kv.p_src)]
+                terms = [(j1, y1, (k * w) * p_src)]
             elif kind == "KT":
-                terms = [(kv.j1, kv.y1, (-k * w) * kv.p_tgt)]
+                terms = [(j1, y1, (-k * w) * p_tgt)]
             else:
-                pp = kv.p_tgt * kv.p_src
-                nu_dot = gt.normal[rows] @ gf.normal.T
-                terms = [(kv.j0, kv.y0, (k * k * w) * pp),
-                         (kv.j1, kv.y1, (k * w) * (nu_dot - 2.0 * pp) / kv.r)]
+                pp = p_tgt * p_src
+                nu_dot = target.normal[rows] @ fine.normal.T
+                terms = [(j0, y0, (k * k * w) * pp),
+                         (j1, y1, (k * w) * (nu_dot - 2.0 * pp) / r)]
             (j, y, a), *rest = terms
             np.multiply(y, a, out=re)
             np.multiply(j, a, out=im)
@@ -314,10 +279,9 @@ def _cross_curve_group(pd: _PairData, g):
                 re += y * a
                 im += j * a
             np.negative(re, out=re)
-            if fold:
-                folded = _decimate(parts, pd.source.n)
-                dest[0][...] = folded[0]
-                dest[1][...] = folded[1]
+            if q > 1:
+                for part, folded in zip(dest, _decimate(parts, source.n)):
+                    part[...] = folded
     if dmin < CONTAINMENT_MARGIN:
         warnings.warn(
             f"curves are {dmin:.3g} apart (< {CONTAINMENT_MARGIN}); "
@@ -358,12 +322,11 @@ def assemble_blocks(target: DiscretizedBoundary, source: DiscretizedBoundary,
     read-only group matrix [[K, S], [T, KT]], of shape (2m, 2n) for m
     target and n source nodes: each kind maps source-grid densities to
     target-grid values."""
-    pd = _PairData(target, source, k)
     g = np.empty((2 * target.size, 2 * source.size), dtype=complex)
-    if pd.same:
-        _same_curve_group(pd, g)
+    if target is source:
+        _same_curve_group(target, k, g)
     else:
-        _cross_curve_group(pd, g)
+        _cross_curve_group(target, source, k, g)
     g.setflags(write=False)
     for kind in KINDS:
         if not np.all(np.isfinite(_quadrant(g, kind))):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from layerscat.cli import _load_config, main
-from layerscat.data_io import read_dataset, read_trace
+from layerscat.data_io import read_config, read_dataset, read_trace
 from layerscat.inverse import SolverConfig
 
 from _oracles import write_config
@@ -231,3 +231,78 @@ def test_negative_n1_exits_one(tmp_path, small_config_path, capsys):
     err = capsys.readouterr().err
     assert "input error" in err and "n1 must be positive" in err
     assert not (out / "dataset.csv").exists()
+
+
+def _shift_field(column, shift, rows=slice(None)):
+    """An edit of dataset rows (lists of CSV fields) that adds ``shift``
+    to field ``column`` of the rows ``rows``."""
+    def edit(table):
+        for row in table[rows]:
+            row[column] = repr(float(row[column]) + shift)
+    return edit
+
+
+def _set_field(column, text):
+    def edit(table):
+        table[0][column] = text
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set_field(4, "inf"), "line 2: non-finite field"),
+    (_set_field(5, "nan"), "line 2: non-finite field"),
+    (_shift_field(3, 0.1), "observation points are not"),
+    (_shift_field(2, 0.1), "incident directions are not"),
+    (_shift_field(2, 1e-9), "incident directions are not"),
+    # the first row of d_index 2 (rows run k0, d_index, obs) only
+    (_shift_field(2, 0.1, slice(16, 17)), "several d_angle_rad"),
+], ids=["inf-sample", "nan-sample", "obs-angles-shifted",
+        "incident-angles-shifted", "incident-angles-off-by-1e-9",
+        "d-index-with-two-angles"])
+def test_dataset_the_solver_cannot_use_exits_one(tmp_path, small_config_path,
+                                                 capsys, edit, message):
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(small_config_path),
+                 "--truth-outer", "circle:2.0", "--truth-inner", "circle:0.8",
+                 "--truth-lambda1", "2.0", "--out", str(out)]) == 0
+    path = out / "dataset.csv"
+    header, *lines = path.read_text().splitlines()
+    table = [line.split(",") for line in lines]
+    assert [row[1] for row in table[15:17]] == ["1", "2"]
+    edit(table)
+    path.write_text("\n".join([header] + [",".join(r) for r in table]) + "\n")
+    assert main(["invert", "--config", str(small_config_path),
+                 "--data", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and message in err
+    assert not (out / "trace.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("frequencies", 2.0), ("frequencies", []), ("frequencies", ["2.0"]),
+    ("frequencies", [True, 2.0]), ("modes", "25"), ("modes", -1),
+    ("rho", "0.8"), ("n_obs", 16.5), ("n_solve", True),
+    ("max_iterations", None), ("delta", float("inf")), ("n1", float("nan")),
+    ("lambda0", False), ("center_update_iterations", 2.5),
+    ("center_update_iterations", "5"), ("k2", "k0"), ("k2", -1.0),
+    ("k2", True), ("k2", None)])
+def test_config_with_wrong_types_exits_one(tmp_path, small_config_path,
+                                           capsys, key, value):
+    doc = json.loads(Path(small_config_path).read_text())
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(bad),
+                 "--truth-outer", "circle:2.0", "--truth-inner", "circle:0.8",
+                 "--truth-lambda1", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and key in err
+    assert not (out / "dataset.csv").exists()
+
+
+def test_configs_and_integral_reals_load():
+    for path in sorted(Path(__file__).parents[1].glob("configs/*.json")):
+        assert read_config(path).frequencies
+    config = SolverConfig(delta=0, n1=1, frequencies=[1, 2.5], k2=3)
+    assert config.delta == 0 and config.frequencies == (1.0, 2.5)

@@ -17,8 +17,7 @@ from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
                                 discretize_pair)
 from layerscat.operators import (CROSS_PANEL_ENTRIES, _cross_oversample,
                                  _decimate, _differences, _log_4sin2,
-                                 _PairData, assemble_blocks,
-                                 assemble_farfield)
+                                 assemble_blocks, assemble_farfield)
 
 from _oracles import (circle_double_layer_offset, circle_eigenvalues,
                       cross_blocks_fixed_q, evaluate_potential, hankel1_01,
@@ -329,7 +328,7 @@ def test_plain_block_is_the_source_grid_trapezoid(monkeypatch):
                         lambda *a: calls.append(a) or discretize(*a))
     k = 1.6
     for target, source in ((g0, g1), (g1, g0)):
-        assert _PairData(target, source, k).fine is source
+        assert _cross_oversample(source, k, *_differences(target, source)) == 1
         blocks = kinds(assemble_blocks(target, source, k))
         diff = target.x[:, None, :] - source.x[None, :, :]
         r = np.sqrt(np.sum(diff * diff, axis=-1))
@@ -381,32 +380,39 @@ def test_close_under_resolved_and_coarse_blocks_keep_more_nodes():
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def panels(monkeypatch):
-    """Count the target-row panels each cross block is evaluated in."""
+    """Count the target-row panels each cross block is evaluated in (the
+    ``_kernels`` calls whose target and source grids differ)."""
     counts = []
-    kernels = _PairData.kernels
+    kernels = operators._kernels
 
-    def counted(self, rows=slice(None)):
-        if not self.same:
-            counts.append(((id(self.target), id(self.source)), rows))
-        return kernels(self, rows)
+    def counted(target, source, k, dx, dy, r, rows=slice(None)):
+        if target is not source:
+            counts.append(((id(target), id(source)), rows))
+        return kernels(target, source, k, dx, dy, r, rows)
 
-    monkeypatch.setattr(_PairData, "kernels", counted)
+    monkeypatch.setattr(operators, "_kernels", counted)
     return counts
 
 
-@pytest.mark.parametrize("setup,q", [("square->kite", 3), ("m21", 4)])
+@pytest.mark.parametrize("setup,q", [("square->kite", 3), ("m21", 4),
+                                     ("triangle->apple", 1)])
 def test_cross_block_panels_are_exact(monkeypatch, panels, setup, q):
     # the forward benchmark's square -> kite block and gate 6's graded
-    # iterate 21 (outer <- inner) at n = 128 span several panels, and
-    # equal the one-panel assembly bit for bit
-    if setup == "square->kite":
-        source = discretize(ParametricCurve.preset("rounded_square"), 128)
-        target = discretize(ParametricCurve.preset("kite"), 128)
-    else:
+    # iterate 21 (outer <- inner) at n = 128, and a plain (q = 1)
+    # triangle -> apple block at n = 192, whose kept source-grid
+    # differences are sliced per panel, span several panels, and equal
+    # the one-panel assembly bit for bit
+    if setup == "m21":
         target, source = discretize_pair(*_curves("m21"), 128)
         assert source.node_map is not None
+    else:
+        names = {"square->kite": ("rounded_square", "kite", 128),
+                 "triangle->apple": ("rounded_triangle", "apple", 192)}
+        outer, inner, n = names[setup]
+        source = discretize(ParametricCurve.preset(outer), n)
+        target = discretize(ParametricCurve.preset(inner), n)
     k = 0.8
-    assert _PairData(target, source, k).fine.n == q * source.n
+    assert _cross_oversample(source, k, *_differences(target, source)) == q
     panelled = assemble_blocks(target, source, k)
     assert len(panels) >= 2
     panels.clear()
