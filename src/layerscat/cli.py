@@ -40,15 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_curve(spec: str) -> ParametricCurve:
-    """Parse 'apple' or 'circle:2.4' style curve specs."""
+def _parse_curve(spec: str, flag: str) -> ParametricCurve:
+    """Parse the 'apple' or 'circle:2.4' style curve spec given to flag."""
     name, _, arg = spec.partition(":")
     if name == "circle":
-        if not arg:
-            raise ConfigurationError("preset 'circle' needs a radius: circle:R")
-        return ParametricCurve.preset("circle", radius=float(arg))
+        try:
+            return ParametricCurve.preset("circle", radius=float(arg))
+        except (ValueError, ConfigurationError):
+            raise ConfigurationError(f"{flag} {spec!r}: circle:R needs a "
+                                     "finite radius R") from None
     if arg:
-        raise ConfigurationError(f"preset {name!r} takes no parameter")
+        raise ConfigurationError(f"{flag}: preset {name!r} takes no parameter")
     return ParametricCurve.preset(name)
 
 
@@ -76,7 +78,10 @@ def _load_config(args) -> SolverConfig:
             raise ConfigurationError(f"--set expects key=value, got {item!r}")
         if key not in {f.name for f in dataclasses.fields(SolverConfig)}:
             raise ConfigurationError(f"unknown config key {key!r}")
-        overrides[key] = _coerce(key, value)
+        try:
+            overrides[key] = _coerce(key, value)
+        except ValueError:
+            raise ConfigurationError(f"bad value in --set {item!r}") from None
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config
@@ -85,10 +90,11 @@ def _load_config(args) -> SolverConfig:
 def _initial_state(args, config: SolverConfig) -> ShapeState:
     center = (0.0, 0.0)
     if args.init_center:
-        parts = args.init_center.split(",")
-        if len(parts) != 2:
-            raise ConfigurationError("--init-center expects 'x,y'")
-        center = (float(parts[0]), float(parts[1]))
+        try:
+            x, y = (float(v) for v in args.init_center.split(","))
+        except ValueError:
+            raise ConfigurationError("--init-center expects 'x,y'") from None
+        center = (x, y)
     return ShapeState.initial(r0=args.init_r0, r1=args.init_r1,
                               lambda1=args.init_lambda1,
                               modes=config.modes, center1=center)
@@ -102,8 +108,8 @@ def _out_dir(args) -> Path:
 
 def _cmd_synth(args) -> int:
     config = _load_config(args)
-    outer = _parse_curve(args.truth_outer)
-    inner = _parse_curve(args.truth_inner)
+    outer = _parse_curve(args.truth_outer, "--truth-outer")
+    inner = _parse_curve(args.truth_inner, "--truth-inner")
     dataset = data_io.synthesize(outer, inner, args.truth_lambda1, config)
     if config.delta > 0.0:
         dataset = data_io.add_noise(dataset, config.delta, args.seed)
@@ -118,8 +124,8 @@ def _cmd_synth(args) -> int:
 def _cmd_forward(args) -> int:
     config = _load_config(args)
     config = dataclasses.replace(config, n_synth=config.n_solve)
-    outer = _parse_curve(args.truth_outer)
-    inner = _parse_curve(args.truth_inner)
+    outer = _parse_curve(args.truth_outer, "--truth-outer")
+    inner = _parse_curve(args.truth_inner, "--truth-inner")
     dataset = data_io.synthesize(outer, inner, args.truth_lambda1, config)
     out = _out_dir(args)
     path = out / "farfield.csv"
@@ -174,10 +180,13 @@ def _cmd_export_plot(args) -> int:
     out = _out_dir(args)
     count = 0
     for rec in doc["iterations"]:
-        tag = f"k{rec['k0']:g}_m{rec['m']:03d}"
-        outer = StarlikeShape((0.0, 0.0), np.array(rec["r0_coeffs"]))
-        inner = StarlikeShape(np.array(rec["center1"]),
-                              np.array(rec["r1_coeffs"]))
+        try:
+            tag = f"k{rec['k0']:g}_m{rec['m']:03d}"
+            outer = StarlikeShape((0.0, 0.0), np.array(rec["r0_coeffs"]))
+            inner = StarlikeShape(np.array(rec["center1"]),
+                                  np.array(rec["r1_coeffs"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"bad trace record: {exc!r}") from None
         data_io.write_curve_csv(ParametricCurve.starlike(outer),
                                 out / f"{tag}_outer.csv")
         data_io.write_curve_csv(ParametricCurve.starlike(inner),

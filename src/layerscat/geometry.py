@@ -14,6 +14,14 @@ radii, node-map densities) take cos(l theta) and sin(l theta) from one
 complex exponential per point (``_harmonics``).  Geometry values are
 immutable after construction.
 
+A valid curve pair has the buried polyline strictly inside the
+interface's, at least CONTAINMENT_MARGIN away.  ``validate_pair``
+decides it from one search for close vertex pairs and one ray cast:
+the distance minimum needs only vertex pairs within d_v + L / 2 (d_v the
+smallest vertex distance, L the longest segment), a crossing has two
+endpoints within L of each other, and without a crossing all buried
+vertices share one side, so one vertex is cast unless the polylines cross.
+
 A curve pair is analysed once: ``validate_pair`` and the node grading
 of ``discretize_pair`` share a single-slot memo (``_pair_memo``) that
 holds the last pair's polyline separation and node maps, so the
@@ -196,8 +204,9 @@ class ParametricCurve:
             raise ConfigurationError(
                 f"unknown preset curve {self.kind!r}; expected one of {PRESET_NAMES}"
             )
-        elif self.kind == "circle" and self.radius_param is None:
-            raise ConfigurationError("preset 'circle' requires a radius")
+        elif self.kind == "circle" and not (self.radius_param is not None
+                                            and np.isfinite(self.radius_param)):
+            raise ConfigurationError("preset 'circle' requires a finite radius")
 
     @classmethod
     def starlike(cls, shape: StarlikeShape):
@@ -620,48 +629,17 @@ def spectral_derivative(values):
 # ---------------------------------------------------------------------------
 # Validation of curves and curve pairs
 # ---------------------------------------------------------------------------
-def _polyline(curve: ParametricCurve, n_check: int):
-    t = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
-    return curve.point(t)
-
-
-def _segments(pts):
-    """Segments (N, 2, 2) of the closed polyline through pts (N, 2)."""
-    return np.stack([pts, np.roll(pts, -1, axis=0)], axis=1)
-
-
-def _segments_intersect(p, q):
-    """Any proper intersection between segment sets p and q.
-
-    p, q: arrays (Np, 2, 2) / (Nq, 2, 2) of segment endpoints.
-    """
-    a, b = p[:, None, 0], p[:, None, 1]  # (Np, 1, 2)
-    c, d = q[None, :, 0], q[None, :, 1]  # (1, Nq, 2)
-
-    def cross(u, v):
-        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-    d1 = cross(b - a, c - a)
-    d2 = cross(b - a, d - a)
-    d3 = cross(d - c, a - c)
-    d4 = cross(d - c, b - c)
-    return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))
-
-
-def _checked_polyline(curve: ParametricCurve, n_check: int):
-    """Validate one curve and return its polyline at n_check parameters.
+def _checked_polyline(curve: ParametricCurve):
+    """Validate one curve and return its polyline on the VALIDATION_GRID.
 
     A starlike curve must pass ``StarlikeShape.validate``, whose radii
-    double as the polyline's on the validation grid.  The presets are
-    fixed simple curves (the circle for any nonzero radius), so theirs
-    is taken as it is.
+    double as the polyline's.  The presets are fixed simple curves (the
+    circle for any nonzero radius), so theirs is taken as it is.
     """
+    t = np.linspace(0.0, 2.0 * np.pi, VALIDATION_GRID, endpoint=False)
     if curve.kind != "starlike":
-        return _polyline(curve, n_check)
-    t = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
+        return curve.point(t)
     r = curve.shape.validate()
-    if n_check != VALIDATION_GRID:
-        r = curve.shape.radius(t)
     # the points of ``_polar_xyz``, without the derivatives
     return curve.shape.center + r[:, None] * np.stack([np.cos(t), np.sin(t)],
                                                       axis=-1)
@@ -683,28 +661,6 @@ def _points_in_polygon(points, poly):
     return crossings % 2 == 1
 
 
-def _points_in_star(points, center, poly):
-    """Containment in the polygon through poly (N, 2), whose vertex j
-    sits at the polar angle 2 pi j / N about ``center``, as on a
-    starlike polyline.
-
-    Each edge lies in the angular sector between its two vertices, so
-    the polygon is star-shaped about the center: a point is inside
-    exactly when it lies left of its sector's (counterclockwise) edge.
-    Away from the boundary this is the decision of ray casting; a
-    sector misjudged by roundoff at a sector border changes it only for
-    points within roundoff of a vertex.
-    """
-    n = poly.shape[0]
-    rel = points - center
-    sector = np.floor(np.arctan2(rel[:, 1], rel[:, 0])
-                      * (n / (2.0 * np.pi))).astype(int) % n
-    a = poly[sector]
-    edge = poly[(sector + 1) % n] - a
-    ap = points - a
-    return edge[:, 0] * ap[:, 1] - edge[:, 1] * ap[:, 0] > 0.0
-
-
 def _point_segment_distances(points, a, ab, ab2):
     """|p - c| row by row, c the point of segment a + s ab closest to p."""
     ap = points - a
@@ -713,19 +669,21 @@ def _point_segment_distances(points, a, ab, ab2):
     return np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
 
 
-def _polyline_separation(p, q):
-    """Minimum distance between the closed polylines p and q, and the
-    longest segment of each.
+def _cross(u, v):
+    """z-component of u x v, row by row."""
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
-    The minimum runs over all (vertex of one, segment of the other)
-    pairs, but ``_point_segment_distances`` is evaluated only on the pairs
-    that can attain it (see ``validate_pair``), so it equals the
-    all-pairs minimum bit for bit.
+
+def _polyline_separation(p, q):
+    """(dmin, crosses) of the closed polylines p and q: their minimum
+    (vertex, segment) distance, bit for bit the all-pairs value, and
+    whether two of their segments properly cross.  One search for close
+    vertex pairs serves both; ``validate_pair`` gives the reach.
     """
     ab_p, ab_q = np.roll(p, -1, axis=0) - p, np.roll(q, -1, axis=0) - q
     ab2_p, ab2_q = (np.maximum(np.sum(ab * ab, axis=1), 1e-300)
                     for ab in (ab_p, ab_q))
-    l_p, l_q = float(np.sqrt(np.max(ab2_p))), float(np.sqrt(np.max(ab2_q)))
+    l_max = float(np.sqrt(max(np.max(ab2_p), np.max(ab2_q))))
     pp, qq = np.sum(p * p, axis=1), np.sum(q * q, axis=1)
     # squared vertex distances |p_i - q_j|^2 = |p_i|^2 + |q_j|^2 - 2 p_i.q_j;
     # the slack covers the roundoff of this form
@@ -735,7 +693,7 @@ def _polyline_separation(p, q):
     gram += qq
     slack = 1e-12 * (np.max(pp) + np.max(qq))
     d_v = np.sqrt(max(float(np.min(gram)), 0.0) + slack)
-    reach = (d_v + 0.5 * max(l_p, l_q))**2 + slack
+    reach = max(d_v + 0.5 * l_max, l_max)**2 + slack
     i, j = np.divmod(np.flatnonzero(gram <= reach), q.shape[0])
     dmin = np.inf
     for pts, at, poly, end, ab, ab2 in ((p, i, q, j, ab_q, ab2_q),
@@ -744,54 +702,58 @@ def _polyline_separation(p, q):
         at, seg = np.concatenate([at, at]), np.concatenate([end, end - 1])
         d = _point_segment_distances(pts[at], poly[seg], ab[seg], ab2[seg])
         dmin = min(dmin, float(np.min(d)))
-    return dmin, l_p, l_q
+    near = gram[i, j] <= l_max * l_max + slack
+    if not np.any(near):
+        return dmin, False
+    i, j = i[near], j[near]
+    # segments i - 1 and i of p (segment s runs from vertex s to s + 1)
+    # against segments j - 1 and j of q
+    s, t = np.concatenate([i, i, i - 1, i - 1]), np.concatenate([j, j - 1] * 2)
+    a, ab, b = p[s], ab_p[s], p[(s + 1) % p.shape[0]]
+    c, cd, d = q[t], ab_q[t], q[(t + 1) % q.shape[0]]
+    return dmin, bool(np.any((_cross(ab, c - a) * _cross(ab, d - a) < 0)
+                             & (_cross(cd, a - c) * _cross(cd, b - c) < 0)))
 
 
-def validate_pair(outer: ParametricCurve, inner: ParametricCurve,
-                  n_check=VALIDATION_GRID) -> float:
+def validate_pair(outer: ParametricCurve, inner: ParametricCurve) -> float:
     """Check the buried curve lies strictly inside the outer one and
     return the minimum distance between their polylines.
 
     Raises GeometryError if a starlike radius is not finite or dips
-    below RADIUS_FLOOR, any inner node falls outside the outer polygon
-    (by angular sector about a starlike outer curve's center,
-    ``_points_in_star``, else by ray casting), the polylines come closer
-    than CONTAINMENT_MARGIN, or they intersect.  Both polyline checks
-    are exact, with L_max the longest segment:
+    below RADIUS_FLOOR, an inner vertex is outside the outer polygon
+    (ray casting), the polylines come closer than CONTAINMENT_MARGIN, or
+    they cross.  With L the longest segment of either polyline, all
+    three polyline checks are exact:
 
-    * candidate reach: the minimum over (vertex, segment) pairs is at
-      most the smallest vertex-to-vertex distance d_v, and the point of
-      a segment closest to a vertex lies within half the segment's
-      length of one of its endpoints, so only segments with an endpoint
-      within d_v + L_max / 2 of the vertex (plus a roundoff slack) are
-      evaluated;
-    * crossing bound: if segments AB and CD cross, an endpoint of AB
-      lies within |AB| / 2 of CD and one of CD within |CD| / 2 of AB, so
-      the polylines cannot cross when the minimum distance exceeds half
-      the smaller of the two curves' L_max; the all-pairs crossing test
-      runs only otherwise.
+    * distance reach: the (vertex, segment) minimum is at most the
+      smallest vertex distance d_v, and the point of a segment closest
+      to a vertex lies within half its length of an endpoint, so only
+      vertex pairs within d_v + L / 2 (plus a roundoff slack) count;
+    * crossing lemma: if AB crosses CD at X, an endpoint of each lies
+      within half its segment of X, so two endpoints lie within L of
+      each other; the two segments at each end of every such vertex
+      pair are tested;
+    * one-parity containment: without a proper crossing the inner
+      polyline can change sides of the outer one only by touching it,
+      at distance 0, which fails the margin anyway; so all inner
+      vertices share one crossing parity, and one is ray-cast unless
+      the polylines cross.
 
-    On the VALIDATION_GRID the separation of an accepted pair is kept in
-    the pair's memo slot for ``_pair_node_maps``.
+    An accepted pair's separation is kept in its memo slot for
+    ``_pair_node_maps``.
     """
-    pts_outer = _checked_polyline(outer, n_check)
-    pts_inner = _checked_polyline(inner, n_check)
-    if outer.kind == "starlike":
-        inside = _points_in_star(pts_inner, outer.shape.center, pts_outer)
-    else:
-        inside = _points_in_polygon(pts_inner, pts_outer)
-    if not np.all(inside):
+    pts_outer = _checked_polyline(outer)
+    pts_inner = _checked_polyline(inner)
+    dmin, crosses = _polyline_separation(pts_outer, pts_inner)
+    if not np.all(_points_in_polygon(pts_inner if crosses else pts_inner[:1],
+                                     pts_outer)):
         raise GeometryError("buried boundary is not strictly inside the interface")
-    dmin, l_outer, l_inner = _polyline_separation(pts_outer, pts_inner)
     if dmin < CONTAINMENT_MARGIN:
         raise GeometryError(
             f"boundaries too close: min distance {dmin:.4g} < margin "
             f"{CONTAINMENT_MARGIN}"
         )
-    # the relative slack keeps the bound safe against roundoff in dmin
-    if (2.0 * dmin <= min(l_outer, l_inner) * (1.0 + 1e-9)
-            and _segments_intersect(_segments(pts_outer), _segments(pts_inner))):
+    if crosses:
         raise GeometryError("interface and buried boundary polylines intersect")
-    if n_check == VALIDATION_GRID:
-        _pair_memo(outer, inner).separation = dmin
+    _pair_memo(outer, inner).separation = dmin
     return dmin

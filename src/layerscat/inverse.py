@@ -75,12 +75,6 @@ class ShapeState:
         return (ParametricCurve.starlike(self.gamma0),
                 ParametricCurve.starlike(self.gamma1))
 
-    def validate_geometry(self) -> float:
-        """Raise GeometryError unless the pair is valid; return the
-        minimum distance between the two boundaries' polylines."""
-        c0, c1 = self.curves()
-        return validate_pair(c0, c1)
-
 
 @dataclass
 class SolverConfig:
@@ -360,7 +354,7 @@ def apply_step(state: ShapeState, delta, form: str, include_center: bool,
     for halvings in range(STEP_HALVINGS + 1):
         cand = _candidate_state(state, step, form, include_center, modes)
         try:
-            separation = cand.validate_geometry()
+            separation = validate_pair(*cand.curves())
         except GeometryError:
             step = 0.5 * step
             continue
@@ -541,7 +535,7 @@ def multi_frequency_drive(initial: ShapeState, dataset, config: SolverConfig):
         raise ConfigurationError(
             f"dataset frequencies {freqs} do not match config "
             f"{tuple(config.frequencies)}")
-    initial.validate_geometry()
+    validate_pair(*initial.curves())
     state = initial
     trace = ReconstructionTrace()
     for qi, k0 in enumerate(freqs):

@@ -134,6 +134,34 @@ def test_unknown_preset_exits_one(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["synth", "--truth-outer", "circle:abc", "--truth-inner", "apple",
+      "--truth-lambda1", "1"], "--truth-outer"),
+    (["synth", "--truth-outer", "circle:2.0", "--truth-inner", "circle:0.8",
+      "--truth-lambda1", "1", "--set", "n_solve=abc"], "n_solve"),
+    (["check-derivative", "--init-center", "a,b"], "--init-center"),
+    (["check-derivative", "--init-center", "1,2,3"], "--init-center"),
+    (["synth", "--truth-outer", "circle:nan", "--truth-inner", "apple",
+      "--truth-lambda1", "1"], "--truth-outer"),
+    (["export-plot", "--trace", "TRACE"], "r0_coeffs"),
+    (["export-plot", "--trace", "TRACE_BAD"], "'ab'"),
+], ids=["circle-radius", "set-value", "init-center-value",
+        "init-center-count", "circle-radius-nan", "trace-record-key",
+        "trace-record-value"])
+def test_unreadable_input_exits_one(tmp_path, capsys, argv, named):
+    # each is reported at its parse site, not as a Python exception
+    record = {"k0": 2.0, "m": 0, "r1_coeffs": [0.5], "center1": [0.0, 0.0]}
+    for name, rec in (("TRACE", record),
+                      ("TRACE_BAD", dict(record, r0_coeffs="ab"))):
+        (tmp_path / name).write_text(json.dumps(
+            {"iterations": [rec], "stage_final": [],
+             "classification": "inconclusive"}))
+    argv = [str(tmp_path / a) if a.startswith("TRACE") else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and named in err and "Traceback" not in err
+
+
 def test_missing_config_key_exits_one(tmp_path, small_config_path, capsys):
     doc = json.loads(Path(small_config_path).read_text())
     doc.pop("rho")

@@ -23,7 +23,7 @@ from layerscat.geometry import (CONTAINMENT_MARGIN, GRADING_OFF,
                                 spectral_derivative, validate_pair)
 from layerscat.geometry import (_closest_approaches, _graded_node_maps,
                                 _pair_node_maps, _points_in_polygon,
-                                _points_in_star, _polyline_separation)
+                                _polyline_separation)
 
 from _oracles import (closest_approaches, curve_is_simple,
                       min_point_polyline_distance, node_map_density,
@@ -47,6 +47,9 @@ def test_unknown_preset_rejected():
         ParametricCurve.preset("pentagon")
     with pytest.raises(ConfigurationError):
         ParametricCurve.preset("circle")  # radius missing
+    for radius in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="finite radius"):
+            ParametricCurve.preset("circle", radius=radius)
 
 
 def test_circle_discretization():
@@ -310,51 +313,82 @@ def _spiked_pair(rng, modes=25):
 
 
 def _all_pairs_check(outer, inner, n_check):
-    """(reason, polylines, dmin) of the brute-force pair checks; reason
-    None means accepted, dmin is None before the distance check."""
+    """(reason, polylines, dmin, crosses) of the brute-force pair checks;
+    reason None means accepted, dmin and crosses are None before the
+    distance check."""
     for c in (outer, inner):
         try:
             c.shape.validate()
         except GeometryError:
-            return "radius dips", None, None
+            return "radius dips", None, None, None
     t = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
     po, pi = outer.point(t), inner.point(t)
     if not np.all(points_in_polygon(pi, po)):
-        return "not strictly inside", None, None
+        return "not strictly inside", None, None, None
     dmin = min(min_point_polyline_distance(pi, po),
                min_point_polyline_distance(po, pi))
+    crosses = polylines_cross(po, pi)
     if dmin < CONTAINMENT_MARGIN:
-        return "too close", (po, pi), dmin
-    if polylines_cross(po, pi):
-        return "intersect", (po, pi), dmin
-    return None, (po, pi), dmin
+        return "too close", (po, pi), dmin, crosses
+    if crosses:
+        return "intersect", (po, pi), dmin, crosses
+    return None, (po, pi), dmin, crosses
+
+
+def _longest_segment(pts):
+    return float(np.max(np.linalg.norm(np.roll(pts, -1, axis=0) - pts,
+                                       axis=1)))
 
 
 @pytest.mark.parametrize("n_check", [VALIDATION_GRID, 24])
-def test_pair_checks_match_all_pairs_oracle(n_check):
+def test_pair_checks_match_all_pairs_oracle(n_check, monkeypatch):
+    # validate_pair checks on the VALIDATION_GRID; a fresh memo slot keeps
+    # a 24-point separation away from the grading shortcut
+    monkeypatch.setattr(geometry, "VALIDATION_GRID", n_check)
+    monkeypatch.setattr(geometry, "_last_pair", None)
     rng = np.random.default_rng(20121122)
     pairs = [_random_pair(rng) for _ in range(200)]
     pairs += [_spiked_pair(rng) for _ in range(10)]
     seen = collections.Counter()
-    fallback_accepts = 0
+    long_segment_accepts = 0
     for outer, inner in pairs:
-        reason, polylines, dmin = _all_pairs_check(outer, inner, n_check)
+        reason, polylines, dmin, crosses = _all_pairs_check(outer, inner,
+                                                            n_check)
         seen[reason] += 1
         if reason is None:
-            assert validate_pair(outer, inner, n_check=n_check) == dmin
+            assert validate_pair(outer, inner) == dmin
         else:
             with pytest.raises(GeometryError, match=reason):
-                validate_pair(outer, inner, n_check=n_check)
+                validate_pair(outer, inner)
         if polylines is not None:
-            sep, l_outer, l_inner = _polyline_separation(*polylines)
-            assert sep == dmin
-            if reason is None and 2.0 * dmin <= min(l_outer, l_inner):
-                fallback_accepts += 1
+            assert _polyline_separation(*polylines) == (dmin, crosses)
+            # accepted although a segment is at least twice the separation
+            if reason is None and 2.0 * dmin <= min(
+                    _longest_segment(p) for p in polylines):
+                long_segment_accepts += 1
     assert seen[None] >= 50 and sum(seen.values()) - seen[None] >= 50, seen
     assert seen["too close"] >= 1, seen
     if n_check == 24:
-        # the margin is below L_max / 2, so the crossing test runs
-        assert seen["intersect"] >= 1 and fallback_accepts >= 1, seen
+        # the margin is below L / 2, so a crossing can hide behind it
+        assert seen["intersect"] >= 1 and long_segment_accepts >= 1, seen
+
+
+@pytest.mark.parametrize("q", [
+    # d_v = 0.14, but the two crossings' endpoints are at least 2.76
+    # apart: more than d_v + L / 2 and L / 2, less than L = 4
+    [(1.9, -2.0), (2.1, -2.0), (2.1, 2.0), (3.9, 3.9), (1.9, 2.0)],
+    # only the crossed square edge's end vertex (4, 0) is within L of q
+    [(3.7, -2.0), (3.9, -2.0), (3.9, 2.0), (3.7, 2.0)],
+])
+def test_separation_finds_crossings_with_far_endpoints(q):
+    square = np.array([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)])
+    q = np.array(q)
+    assert polylines_cross(square, q)
+    for p1, p2 in ((square, q), (q, square)):
+        dmin, crosses = _polyline_separation(p1, p2)
+        assert crosses is True
+        assert dmin == min(min_point_polyline_distance(p1, p2),
+                           min_point_polyline_distance(p2, p1))
 
 
 # ---------------------------------------------------------------------------
@@ -458,26 +492,6 @@ def test_node_map_first_guess_table_is_built_once(monkeypatch):
     for used, new in zip(maps, fresh):
         for a, b in zip(used.evaluate(s + 0.1), new.evaluate(s + 0.1)):
             assert np.array_equal(a, b)
-
-
-def test_points_in_star_matches_ray_casting():
-    # random points, and points on the rays through the vertices (sector
-    # borders) away from the vertices themselves
-    rng = np.random.default_rng(5)
-    for n_check in (VALIDATION_GRID, 24):
-        t = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
-        for _ in range(20):
-            outer, _ = _random_pair(rng)
-            center = rng.uniform(-0.2, 0.2, 2)
-            shape = StarlikeShape(center, outer.shape.coeffs)
-            r = shape.radius(t)
-            poly = center + r[:, None] * np.stack([np.cos(t), np.sin(t)], -1)
-            pts = rng.uniform(-3.0, 3.0, (600, 2))
-            scale = rng.choice([0.5, 0.9, 1.1, 2.0], n_check)
-            pts[:n_check] = center + (scale * r)[:, None] * np.stack(
-                [np.cos(t), np.sin(t)], -1)
-            assert np.array_equal(_points_in_star(pts, center, poly),
-                                  points_in_polygon(pts, poly))
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +658,7 @@ def test_one_table_build_per_newton_iterate(table_builds, monkeypatch):
     state = ShapeState(StarlikeShape((0.0, 0.0), it["r0_coeffs"]),
                        StarlikeShape(it["center1"], it["r1_coeffs"]),
                        lambda1=1e-3)
-    state.validate_geometry()
+    validate_pair(*state.curves())
     _, records = newton_iteration(state, dataset.values[0], 1.0, config)
     assert records[0].resolution_estimate is not None  # the ladder ran
     assert len(pair_calls) > len(records)

@@ -10,7 +10,7 @@ from layerscat.data_io import synthesize
 from layerscat.errors import (ConfigurationError, DataFormatError,
                               GeometryError, StageAbortError)
 from layerscat.forward import observation_directions, solve_plane_wave
-from layerscat.geometry import ParametricCurve, StarlikeShape
+from layerscat.geometry import ParametricCurve, StarlikeShape, validate_pair
 from layerscat.inverse import (ShapeState, SolverConfig, apply_step,
                                choose_beta, classify_boundary, discrete_l2_sq,
                                lm_step, multi_frequency_drive,
@@ -191,7 +191,7 @@ def test_apply_step_halves_and_aborts():
     delta[n] = -0.79
     new, halvings, separation = apply_step(state, delta, "lambda", True, 1)
     assert halvings >= 1
-    assert new.validate_geometry() == separation
+    assert validate_pair(*new.curves()) == separation
     # an absurd step exhausts the halvings
     delta[n] = -1e9
     with pytest.raises(StageAbortError):
@@ -326,7 +326,7 @@ def test_records_carry_the_separation_after_the_step():
                            gamma1=StarlikeShape(after.center1,
                                                 after.r1_coeffs),
                            lambda1=after.lambda1)
-        assert rec.min_separation == moved.validate_geometry()
+        assert rec.min_separation == validate_pair(*moved.curves())
     assert records[-1].min_separation is None
 
 
