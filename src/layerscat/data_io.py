@@ -257,13 +257,21 @@ def write_trace(trace: ReconstructionTrace, path):
 
 
 def read_trace(path) -> dict:
+    """Load a trace document: a JSON object with the lists ``iterations``
+    and ``stage_final`` and the string ``classification``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    for key in ("iterations", "stage_final", "classification"):
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: trace must be a JSON object")
+    for key, kind in (("iterations", list), ("stage_final", list),
+                      ("classification", str)):
         if key not in doc:
             raise DataFormatError(f"{path}: trace missing key {key!r}")
+        if not isinstance(doc[key], kind):
+            raise DataFormatError(
+                f"{path}: trace key {key!r} must be a {kind.__name__}")
     return doc
 
 

@@ -47,6 +47,21 @@ reassembles, and so does every Newton iterate.  The groups are shared,
 read-only arrays.  The close-curves warning comes only from an assembly
 that actually runs.
 
+A block set is built on two threads.  One helper thread, started by the
+build and joined before it returns, assembles 1k1 (and 1k2), then 01,
+then 10, while the calling thread assembles 0k0 and 0k1, factors A00,
+and forms X once 01 is ready and C once 10 is.  numpy, scipy.special and
+LAPACK release the interpreter lock, so the two overlap.  Each group is
+computed whole by one thread, and every factorization and product keeps
+its inputs, so the set is the same bit for bit as a one-thread build;
+the BLAS thread count stays whatever the caller pinned.  Every getrs
+(solve with an LU) runs on the calling thread: with the OpenBLAS 0.3.30
+that scipy 1.17 bundles, two concurrent zgetrs calls abort the process
+("double free or corruption"), so no two may overlap.  The close-curves
+warning of a group built on the helper is issued on the calling thread,
+from the line that takes the group.  The set is stored only once all its
+groups and factors exist, so a failed build leaves no set behind.
+
 The far field of the exterior representation is
 
     u_inf = lambda0 (K_inf psi1) + (S_inf psi2),
@@ -62,6 +77,8 @@ the whole chain.
 
 from __future__ import annotations
 
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -72,7 +89,7 @@ from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .errors import ConfigurationError, SolverError
 from .geometry import DiscretizedBoundary, ParametricCurve, discretize_pair
-from .operators import assemble_blocks, assemble_farfield
+from .operators import assemble_blocks, assemble_farfield, held_warnings
 
 LAMBDA_POLE_GUARD = 1e-6
 CHECK_WEIGHT_THRESHOLD = 1e3
@@ -189,15 +206,14 @@ class BoundaryTraces:
 @dataclass(eq=False)
 class _BlockSet:
     """The operator groups of one assembly under its ``key`` = (grid0,
-    grid1, k0, k1, k2, lambda0), where grids compare by identity.  The
-    first system factored on the set stores the lambda1-free part of its
-    factorization here: ``lu``, the LU factors of A00^T, and ``c``, C =
-    B10 A00^-1 B01."""
+    grid1, k0, k1, k2, lambda0), where grids compare by identity, and the
+    lambda1-free part of every factorization on them: ``lu``, the LU
+    factors of A00^T, and ``c``, C = B10 A00^-1 B01."""
 
     key: tuple
     blocks: dict
-    lu: tuple | None = None
-    c: np.ndarray | None = None
+    lu: tuple
+    c: np.ndarray
 
 
 # The block set of the last assembly, or None.  One slot: systems on the
@@ -211,26 +227,80 @@ def _operator_blocks(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
                      params: MediumParams) -> _BlockSet:
     """The block set of the system: that of the last assembly when its
     grids are these very objects and its (k0, k1, k2, lambda0) are
-    equal, else assembled anew.  The groups are shared between systems
-    and read-only."""
+    equal, else built anew.  The groups are shared between systems and
+    read-only."""
     global _last_blocks
     # DiscretizedBoundary compares by identity
     key = (grid0, grid1, params.k0, params.k1, params.k2, params.lambda0)
     if _last_blocks is not None and _last_blocks.key == key:
         return _last_blocks
     # drop the old set before building the new one, so that two sets are
-    # never alive at once
+    # never alive at once; a failed build leaves the slot empty
     _last_blocks = None
-    k0, k1, k2 = params.k0, params.k1, params.k2
-    blocks = {"0k0": assemble_blocks(grid0, grid0, k0),
-              "0k1": assemble_blocks(grid0, grid0, k1),
-              "1k1": assemble_blocks(grid1, grid1, k1)}
-    blocks["1k2"] = (blocks["1k1"] if k2 == k1
-                     else assemble_blocks(grid1, grid1, k2))
-    blocks["01"] = assemble_blocks(grid0, grid1, k1)
-    blocks["10"] = assemble_blocks(grid1, grid0, k1)
-    _last_blocks = _BlockSet(key, blocks)
+    _last_blocks = _build_block_set(key, grid0, grid1, params)
     return _last_blocks
+
+
+def _held_group(target, source, k):
+    """``assemble_blocks`` on the helper thread: (group, the messages of
+    its close-curves warnings)."""
+    with held_warnings() as messages:
+        return assemble_blocks(target, source, k), messages
+
+
+def _take(future):
+    """The group of a ``_held_group`` future, once done, with its
+    close-curves warnings issued from the caller's line."""
+    group, messages = future.result()
+    for message in messages:
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+    return group
+
+
+def _build_block_set(key, grid0: DiscretizedBoundary,
+                     grid1: DiscretizedBoundary,
+                     params: MediumParams) -> _BlockSet:
+    """Assemble the six groups and factor the interface block on two
+    threads (see module docstring): the helper assembles 1k1 (and 1k2),
+    01 and 10 in that order, while this thread assembles 0k0 and 0k1,
+    builds and factors A00, forms X = A00^-1 B01 once 01 is ready, and C
+    = B10 X once 10 is.  The buried-curve groups go first so that their
+    whole-group kernel arrays overlap those of 0k0 and 0k1, and only the
+    cross blocks' small row panels overlap the factors.  The helper is
+    joined, and its pending groups cancelled, before this returns or
+    raises."""
+    p = params
+    k0, k1, k2 = p.k0, p.k1, p.k2
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        pending = {"1k1": helper.submit(_held_group, grid1, grid1, k1)}
+        if k2 != k1:
+            pending["1k2"] = helper.submit(_held_group, grid1, grid1, k2)
+        pending["01"] = helper.submit(_held_group, grid0, grid1, k1)
+        pending["10"] = helper.submit(_held_group, grid1, grid0, k1)
+        g0k0 = assemble_blocks(grid0, grid0, k0)
+        g0k1 = assemble_blocks(grid0, grid0, k1)
+        n0 = 2 * grid0.size
+        a00 = _add_block(_system_terms(p), {"0k0": g0k0, "0k1": g0k1}, 0, 0,
+                         np.zeros((n0, n0), dtype=complex))
+        lu = _lu_of_transpose(a00, 0)
+        # X = A00^-1 B01 with B01 = diag(-mu0 I, mu0 lambda0 I) G01, written
+        # in Fortran order so that the solve overwrites it; C = B10 X with
+        # B10 = diag(I, -I) G10.  X is dropped once C is formed
+        g01 = _take(pending["01"])
+        x = np.empty(g01.shape[::-1], dtype=complex).T
+        _scale_halves(g01, (-p.mu0, p.mu0 * p.lambda0), x)
+        x, _ = zgetrs(*lu, x, trans=1, overwrite_b=1)
+        g10 = _take(pending["10"])
+        c = _scale_halves(g10 @ x, (1.0, -1.0))
+        del x
+        g1k1 = _take(pending["1k1"])
+        g1k2 = _take(pending["1k2"]) if "1k2" in pending else g1k1
+    finally:
+        helper.shutdown(cancel_futures=True)
+    blocks = {"0k0": g0k0, "0k1": g0k1, "1k1": g1k1, "1k2": g1k2,
+              "01": g01, "10": g10}
+    return _BlockSet(key, blocks, lu, c)
 
 
 def _lu_of_transpose(mat, first_column):
@@ -268,7 +338,7 @@ class _Term(NamedTuple):
     diagonal: bool = False
 
 
-def _system_terms(params: MediumParams, blocks) -> dict:
+def _system_terms(params: MediumParams) -> dict:
     """{group name: _Term} of (I+A) - I.  With k2 = k1 both terms of A11
     take one group, and its S and T quadrants cancel exactly, so the two
     make one block-diagonal term."""
@@ -280,11 +350,35 @@ def _system_terms(params: MediumParams, blocks) -> dict:
              "10": _Term(1, 0, (mu1, -mu1), (1.0, 1.0)),
              "1k1": _Term(1, 1, (mu1, -mu1), (la1, 1.0)),
              "1k2": _Term(1, 1, (-mu1, mu1 * la1), (1.0, 1.0))}
-    if blocks["1k2"] is blocks["1k1"]:
+    if params.k2 == params.k1:
         del terms["1k2"]
         kappa = mu1 * la1 - mu1
         terms["1k1"] = _Term(1, 1, (kappa, kappa), (1.0, 1.0), True)
     return terms
+
+
+def _add_block(terms, blocks, row, col, out):
+    """Add block (row, col) of (I+A) to ``out``, one quadrant of one group
+    at a time, from the ``terms`` of the ``blocks`` they name."""
+    scratch = None
+    for name, term in terms.items():
+        if (term.row, term.col) != (row, col):
+            continue
+        g = blocks[name]
+        m, n = g.shape[0] // 2, g.shape[1] // 2
+        for i, a in enumerate(term.row_scales):
+            for j, b in enumerate(term.col_scales):
+                if term.diagonal and i != j:
+                    continue
+                quad = (slice(i * m, (i + 1) * m), slice(j * n, (j + 1) * n))
+                if scratch is None:
+                    scratch = np.empty((m, n), dtype=complex)
+                np.multiply(g[quad], a * b, out=scratch)
+                out[quad] += scratch
+    if row == col:
+        diag = np.arange(out.shape[0])
+        out[diag, diag] += 1.0
+    return out
 
 
 class TransmissionSystem:
@@ -302,7 +396,7 @@ class TransmissionSystem:
         self._ff_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self._block_set = _operator_blocks(grid0, grid1, params)
         self.blocks = self._block_set.blocks
-        self._terms = _system_terms(params, self.blocks)
+        self._terms = _system_terms(params)
         self._factor()
 
     def _cut(self, block):
@@ -311,29 +405,6 @@ class TransmissionSystem:
         n0 = 2 * self.grid0.size
         return slice(0, n0) if block == 0 else slice(n0, None)
 
-    def _add_block(self, row, col, out):
-        """Add block (row, col) of (I+A) to ``out``, one quadrant of one
-        group at a time."""
-        scratch = None
-        for name, term in self._terms.items():
-            if (term.row, term.col) != (row, col):
-                continue
-            g = self.blocks[name]
-            m, n = g.shape[0] // 2, g.shape[1] // 2
-            for i, a in enumerate(term.row_scales):
-                for j, b in enumerate(term.col_scales):
-                    if term.diagonal and i != j:
-                        continue
-                    quad = (slice(i * m, (i + 1) * m), slice(j * n, (j + 1) * n))
-                    if scratch is None:
-                        scratch = np.empty((m, n), dtype=complex)
-                    np.multiply(g[quad], a * b, out=scratch)
-                    out[quad] += scratch
-        if row == col:
-            diag = np.arange(out.shape[0])
-            out[diag, diag] += 1.0
-        return out
-
     def _dense(self):
         """(I+A) as one dense array, assembled on demand: for the
         condition estimate of a failed solve and for tests."""
@@ -341,7 +412,8 @@ class TransmissionSystem:
         a = np.zeros((size, size), dtype=complex)
         for row in (0, 1):
             for col in (0, 1):
-                self._add_block(row, col, a[self._cut(row), self._cut(col)])
+                _add_block(self._terms, self.blocks, row, col,
+                           a[self._cut(row), self._cut(col)])
         return a
 
     def _product(self, name, v, transposed=False):
@@ -373,31 +445,15 @@ class TransmissionSystem:
         return out
 
     def _factor(self):
-        """Factor the interface block A00 of (I+A) in place and eliminate
-        it from the cross-curve coupling, once per block set: the inputs
-        are lambda1-free, so a reused factorization is bit-identical to a
-        fresh one.  Then build and factor the Schur complement S."""
-        p, block_set = self.params, self._block_set
-        if block_set.lu is None:
-            n0 = 2 * self.grid0.size
-            a00 = self._add_block(0, 0, np.zeros((n0, n0), dtype=complex))
-            lu = _lu_of_transpose(a00, 0)
-            # X = A00^-1 B01 with B01 = diag(-mu0 I, mu0 lambda0 I) G01,
-            # written in Fortran order so that the solve overwrites it; C =
-            # B10 X with B10 = diag(I, -I) G10.  X is dropped once C is
-            # formed
-            g01 = self.blocks["01"]
-            x = np.empty(g01.shape[::-1], dtype=complex).T
-            _scale_halves(g01, (-p.mu0, p.mu0 * p.lambda0), x)
-            x, _ = zgetrs(*lu, x, trans=1, overwrite_b=1)
-            block_set.c = _scale_halves(self.blocks["10"] @ x, (1.0, -1.0))
-            block_set.lu = lu
-            del x
+        """Build and factor the Schur complement S = A11 - mu1 C D in
+        place; A00's factors and C come with the block set."""
+        p = self.params
         # S = A11 - mu1 C D, built in one new array
         n1 = self.grid1.size
         weight = np.full(2 * n1, -p.mu1)
         weight[:n1] = -(p.mu1 * p.lambda1)
-        schur = self._add_block(1, 1, np.multiply(block_set.c, weight))
+        schur = _add_block(self._terms, self.blocks, 1, 1,
+                           np.multiply(self._block_set.c, weight))
         self._schur_lu = _lu_of_transpose(schur, 2 * self.grid0.size)
 
     def _raw_solve(self, rhs, transposed=False):
@@ -433,8 +489,9 @@ class TransmissionSystem:
         col = np.zeros(sum(sizes))
         for c in (0, 1):
             for r in (0, 1):
-                block = self._add_block(r, c, np.zeros((sizes[r], sizes[c]),
-                                                       dtype=complex))
+                block = _add_block(self._terms, self.blocks, r, c,
+                                   np.zeros((sizes[r], sizes[c]),
+                                            dtype=complex))
                 np.maximum(col[self._cut(c)], np.max(np.abs(block), axis=0),
                            out=col[self._cut(c)])
         col[col == 0.0] = 1.0

@@ -58,12 +58,16 @@ limits, ``_cross_curve_group`` the block's q, fine grid and close-curves
 warning.  It evaluates a panel of target rows at a time, at most
 CROSS_PANEL_ENTRIES fine-grid entries each, which bounds the kernel
 arrays alive at once; rows are independent, so the blocks do not depend
-on the panels.
+on the panels.  A thread that assembles blocks for another one holds
+their close-curves warnings (``held_warnings``) for that thread to
+issue.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -80,12 +84,28 @@ CROSS_PLAIN_KH = 0.75
 CROSS_DEPTH = 5.5
 # fine-grid entries per row panel of a cross block: bounds the kernel
 # arrays a cross block holds at once
-CROSS_PANEL_ENTRIES = 2**16
+CROSS_PANEL_ENTRIES = 2**14
 
 KINDS = ("S", "K", "KT", "T")
 # each kind's quadrant (block row, block column) in a group matrix
 # [[K, S], [T, KT]]
 _QUADRANTS = {"S": (0, 1), "K": (0, 0), "KT": (1, 1), "T": (1, 0)}
+
+# per thread, the list that holds its close-curves warnings, if any
+_held = threading.local()
+
+
+@contextmanager
+def held_warnings():
+    """Collect the close-curves warnings of the blocks that this thread
+    assembles in the yielded list, as messages, instead of issuing them.
+    The warnings filters are process-wide, so a block assembled on a
+    helper thread hands its warning to the thread that asked for it."""
+    _held.messages = messages = []
+    try:
+        yield messages
+    finally:
+        del _held.messages
 
 
 @lru_cache(maxsize=16)
@@ -193,6 +213,9 @@ def _same_curve_group(grid: DiscretizedBoundary, k: float, g):
     log_rule(j0, y0, 0.25 * speed_row, s_diag, _parts(g, "S"))
     log_rule(j1, y1, (0.25 * k) * p_src * speed_row, k_diag, _parts(g, "K"))
     log_rule(j1, y1, (-0.25 * k) * p_tgt * speed_row, k_diag, _parts(g, "KT"))
+    # free each kernel array after its last use: the T block's products
+    # would otherwise add to all of them
+    del p_tgt, p_src, j1, y1
     # parametric single layer (no arc-length factor) minus its
     # constant-coefficient log part
     p_sharp = log_rule(j0, y0, 0.25, s_diag / grid.speed)
@@ -200,6 +223,7 @@ def _same_curve_group(grid: DiscretizedBoundary, k: float, g):
     nu_dot = grid.normal @ grid.normal.T
     q_block = log_rule(j0, y0, (0.25 * k * k) * nu_dot * speed_row,
                        k * k * s_diag)
+    del j0, y0, nu_dot
     dmat = _spectral_diff_matrix(n)
     t_block = dmat @ p_sharp @ dmat
     t_block[0] += 0.5 * hypersingular_weight_matrix(n)
@@ -283,12 +307,13 @@ def _cross_curve_group(target: DiscretizedBoundary,
                 for part, folded in zip(dest, _decimate(parts, source.n)):
                     part[...] = folded
     if dmin < CONTAINMENT_MARGIN:
-        warnings.warn(
-            f"curves are {dmin:.3g} apart (< {CONTAINMENT_MARGIN}); "
-            "cross-curve quadrature is poorly resolved",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        message = (f"curves are {dmin:.3g} apart (< {CONTAINMENT_MARGIN}); "
+                   "cross-curve quadrature is poorly resolved")
+        held = getattr(_held, "messages", None)
+        if held is None:
+            warnings.warn(message, RuntimeWarning, stacklevel=3)
+        else:
+            held.append(message)
 
 
 def _decimate(fine_rows, n: int):

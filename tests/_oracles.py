@@ -10,7 +10,9 @@ normal components, an all-pairs self-crossing test for one closed
 curve, a one-candidate-at-a-time Newton loop for the
 closest approaches of a curve pair, the direct Jacobian path (one solve per
 derivative problem) for the far-field-rows Jacobian, one equilibrated LU
-of the whole transmission matrix for its block factorization, the Dirichlet
+of the whole transmission matrix for its block factorization, the block
+set built on one thread (groups in order, then LU(A00), X and C) for the
+two-thread build, the Dirichlet
 kernel for the cross-block decimation, the cross-curve blocks at one
 fixed oversampling for every pair, and a Newton loop at one fixed
 resolution for the resolution ladder.  The Hankel,
@@ -31,12 +33,13 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg as sla
 from scipy import special as ssp
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 from layerscat.errors import ConfigurationError, DomainError, SolverError
 from layerscat.forward import DensityVector, TransmissionSystem
 from layerscat.frechet import derivative_boundary_data
 from layerscat.geometry import discretize
-from layerscat.operators import KINDS, _quadrant
+from layerscat.operators import KINDS, _quadrant, assemble_blocks
 from layerscat.specfun import bessel_j0j1y0y1
 
 mp.mp.dps = 50
@@ -363,6 +366,48 @@ class FullLUSystem(TransmissionSystem):
             return y / self._row_scale[:, None]
         y = sla.lu_solve(self._lu, rhs / self._row_scale[:, None], trans=1)
         return y / self._col_scale[:, None]
+
+
+def serial_block_set(grid0, grid1, params):
+    """The block set of (grid0, grid1, params) built on the calling thread
+    alone: the six groups in order, A00 = I + its 0k0 and 0k1 terms
+    quadrant by quadrant, LU(A00^T) in place, X = A00^-1 B01 and C = B10
+    X, with the operations of the one-thread build.  Returns (groups,
+    (lu, piv), C)."""
+    p = params
+    blocks = {"0k0": assemble_blocks(grid0, grid0, p.k0),
+              "0k1": assemble_blocks(grid0, grid0, p.k1),
+              "1k1": assemble_blocks(grid1, grid1, p.k1)}
+    blocks["1k2"] = (blocks["1k1"] if p.k2 == p.k1
+                     else assemble_blocks(grid1, grid1, p.k2))
+    blocks["01"] = assemble_blocks(grid0, grid1, p.k1)
+    blocks["10"] = assemble_blocks(grid1, grid0, p.k1)
+    n0 = 2 * grid0.size
+    m = n0 // 2
+    mu0, la0 = p.mu0, p.lambda0
+    a00 = np.zeros((n0, n0), dtype=complex)
+    for name, row_scales, col_scales in (("0k0", (mu0, -mu0), (la0, 1.0)),
+                                         ("0k1", (-mu0, mu0 * la0),
+                                          (1.0, 1.0))):
+        for i, a in enumerate(row_scales):
+            for j, b in enumerate(col_scales):
+                quad = (slice(i * m, (i + 1) * m), slice(j * m, (j + 1) * m))
+                a00[quad] += np.multiply(blocks[name][quad], a * b)
+    a00[np.diag_indices(n0)] += 1.0
+    lu, piv, _ = zgetrf(a00.T, overwrite_a=1)
+
+    def scale_halves(v, a, b, out):
+        half = v.shape[0] // 2
+        np.multiply(v[:half], a, out=out[:half])
+        np.multiply(v[half:], b, out=out[half:])
+        return out
+
+    g01 = blocks["01"]
+    x = scale_halves(g01, -mu0, mu0 * la0,
+                     np.empty(g01.shape[::-1], dtype=complex).T)
+    x, _ = zgetrs(lu, piv, x, trans=1, overwrite_b=1)
+    c = blocks["10"] @ x
+    return blocks, (lu, piv), scale_halves(c, 1.0, -1.0, c)
 
 
 def kinds(g):

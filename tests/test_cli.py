@@ -162,6 +162,24 @@ def test_unreadable_input_exits_one(tmp_path, capsys, argv, named):
     assert "input error" in err and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc,named", [
+    (5, "JSON object"),
+    ({"iterations": 5, "stage_final": [], "classification": "inconclusive"},
+     "'iterations' must be a list"),
+    ({"iterations": [], "stage_final": {}, "classification": "inconclusive"},
+     "'stage_final' must be a list"),
+    ({"iterations": [], "stage_final": [], "classification": 5},
+     "'classification' must be a str"),
+], ids=["document", "iterations", "stage-final", "classification"])
+def test_export_plot_rejects_mistyped_trace(tmp_path, capsys, doc, named):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(doc))
+    assert main(["export-plot", "--trace", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and named in err and "Traceback" not in err
+
+
 def test_missing_config_key_exits_one(tmp_path, small_config_path, capsys):
     doc = json.loads(Path(small_config_path).read_text())
     doc.pop("rho")

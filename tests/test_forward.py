@@ -1,11 +1,13 @@
 """Forward transmission solver: oracle equivalence, linearity,
 reciprocity, trace consistency, and the reuse of operator blocks across
-systems."""
+systems, and the two-thread build of a block set."""
 
+import threading
 import tracemalloc
 import warnings
 import weakref
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from layerscat.forward import (BoundaryData, MediumParams, TransmissionSystem,
 from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
                                 discretize_pair)
 
-from _oracles import FullLUSystem, kinds, transmission_matrix
+from _oracles import (FullLUSystem, kinds, serial_block_set,
+                      transmission_matrix)
 
 
 def _params(k0=2.0, lambda1=2.0, **kw):
@@ -615,3 +618,117 @@ def test_interface_factorization_is_freed_with_its_blocks(block_calls,
     monkeypatch.setattr(forward, "assemble_blocks", probe)
     assemble_system(g0, g1, _params(k0=3.0))
     assert alive_at_first_call == [False]
+
+
+# -- the two-thread build of a block set -----------------------------------
+def _sweep_grids():
+    """The forward benchmark's square/kite pairing at n = 128."""
+    return (discretize(ParametricCurve.preset("rounded_square"), 128),
+            discretize(ParametricCurve.preset("kite"), 128))
+
+
+@pytest.mark.parametrize("k0,k2", [(1.0, "k1"), (7.0, "k1"), (7.0, 4.0)])
+def test_threaded_build_matches_serial_build(block_calls, k0, k2):
+    """The two-thread block set equals the one-thread build bit for bit:
+    every group, the LU factors and pivots of A00^T, and C."""
+    g0, g1 = _sweep_grids()
+    params = _params(k0=k0, lambda1=1e6, k2=k2)
+    block_set = assemble_system(g0, g1, params)._block_set
+    assert len(block_calls) == (5 if k2 == "k1" else 6)
+    blocks, (lu, piv), c = serial_block_set(g0, g1, params)
+    assert block_set.blocks.keys() == blocks.keys()
+    for name, group in blocks.items():
+        assert _same_bits(block_set.blocks[name], group), name
+    assert ((block_set.blocks["1k2"] is block_set.blocks["1k1"])
+            == (k2 == "k1"))
+    assert _same_bits(block_set.lu[0], lu)
+    assert _same_bits(block_set.lu[1], piv)
+    assert _same_bits(block_set.c, c)
+
+
+def test_close_pair_warnings_name_the_forward_solver(block_calls):
+    """Each cross group's close-curves warning is issued on the calling
+    thread from its own line of forward.py, so the default filter shows
+    both, and an error filter raises out of ``assemble_system`` with no
+    block set stored."""
+    g0 = discretize(ParametricCurve.preset("circle", radius=1.0), 16)
+    g1 = discretize(ParametricCurve.preset("circle", radius=0.97), 16)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assemble_system(g0, g1, _params(k0=1.0))
+    close = [w for w in caught if "apart" in str(w.message)]
+    assert len(close) == 2
+    assert all(w.category is RuntimeWarning for w in close)
+    assert all(Path(w.filename).name == "forward.py" for w in close)
+    assert close[0].lineno != close[1].lineno
+    forward._last_blocks = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="apart"):
+            assemble_system(g0, g1, _params(k0=1.0))
+    assert forward._last_blocks is None
+
+
+@pytest.mark.parametrize("failing", ["0k0", "0k1", "1k1", "01", "10"])
+def test_failed_build_stores_nothing_and_leaves_no_thread(monkeypatch,
+                                                          failing):
+    """A group that fails on either thread fails ``assemble_system`` with
+    its own error; no block set is stored, the old one included, and the
+    helper thread is gone."""
+    g0, g1 = _pair()
+    params = _params()
+    names = {(g0, g0, params.k0): "0k0", (g0, g0, params.k1): "0k1",
+             (g1, g1, params.k1): "1k1", (g0, g1, params.k1): "01",
+             (g1, g0, params.k1): "10"}
+    error = SolverError(f"injected failure of {failing}")
+    assemble = forward.assemble_blocks
+
+    def failing_group(target, source, k):
+        if names[(target, source, k)] == failing:
+            raise error
+        return assemble(target, source, k)
+
+    forward._last_blocks = None
+    before = threading.active_count()
+    assemble_system(g0, g1, _params(k0=3.0))
+    assert forward._last_blocks is not None
+    assert threading.active_count() == before
+    monkeypatch.setattr(forward, "assemble_blocks", failing_group)
+    with pytest.raises(SolverError) as info:
+        assemble_system(g0, g1, params)
+    assert info.value is error
+    assert forward._last_blocks is None
+    assert threading.active_count() == before
+
+
+def test_at_most_one_getrs_in_flight(block_calls, monkeypatch):
+    """Every solve with an LU runs on the calling thread, one at a time:
+    with the bundled OpenBLAS, two concurrent zgetrs calls can abort the
+    process.  Checked on the forward-benchmark pairing and on
+    ``far_field_rows``."""
+    lock = threading.Lock()
+    in_flight, most, threads = [0], [0], set()
+    getrs = forward.zgetrs
+
+    def counted(*args, **kwargs):
+        with lock:
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+            threads.add(threading.get_ident())
+        try:
+            return getrs(*args, **kwargs)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(forward, "zgetrs", counted)
+    g0, g1 = _sweep_grids()
+    incident, obs = observation_directions(16), observation_directions(64)
+    for lambda1 in (1e-6, 1e6):
+        system = assemble_system(g0, g1, _params(k0=7.0, lambda1=lambda1))
+        dens = system.solve(plane_wave_data(g0, g1, 7.0, incident))
+        assert np.all(np.isfinite(system.far_field(dens, obs)))
+    assert np.all(np.isfinite(system.far_field_rows(obs)))
+    assert len(block_calls) == 5
+    assert most == [1]
+    assert threads == {threading.get_ident()}

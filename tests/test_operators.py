@@ -426,12 +426,17 @@ def test_cross_block_panels_are_exact(monkeypatch, panels, setup, q):
 
 
 def test_inversion_blocks_are_one_panel(panels):
-    # gate 6's resolutions stop at n = 64, where even a q = 4 block fits
-    # the panel budget
-    target, source = discretize_pair(*_curves("m21"), 64)
+    # gate 6's resolutions run from n = 32 to 64; at n = 32 even a q = 4
+    # block fits the panel budget, and at n = 64 it takes four panels
+    target, source = discretize_pair(*_curves("m21"), 32)
     assert target.size * source.size * 4 == CROSS_PANEL_ENTRIES
     assemble_blocks(target, source, 0.8)
     assert len(panels) == 1
+    panels.clear()
+    target, source = discretize_pair(*_curves("m21"), 64)
+    assert _cross_oversample(source, 0.8, *_differences(target, source)) == 4
+    assemble_blocks(target, source, 0.8)
+    assert len(panels) == 4
 
 
 def test_close_curves_warn_once_per_panelled_block(monkeypatch, panels):
