@@ -47,20 +47,23 @@ reassembles, and so does every Newton iterate.  The groups are shared,
 read-only arrays.  The close-curves warning comes only from an assembly
 that actually runs.
 
-A block set is built on two threads.  One helper thread, started by the
-build and joined before it returns, assembles 1k1 (and 1k2), then 01,
-then 10, while the calling thread assembles 0k0 and 0k1, factors A00,
-and forms X once 01 is ready and C once 10 is.  numpy, scipy.special and
-LAPACK release the interpreter lock, so the two overlap.  Each group is
-computed whole by one thread, and every factorization and product keeps
-its inputs, so the set is the same bit for bit as a one-thread build;
-the BLAS thread count stays whatever the caller pinned.  Every getrs
-(solve with an LU) runs on the calling thread: with the OpenBLAS 0.3.30
-that scipy 1.17 bundles, two concurrent zgetrs calls abort the process
-("double free or corruption"), so no two may overlap.  The close-curves
-warning of a group built on the helper is issued on the calling thread,
-from the line that takes the group.  The set is stored only once all its
-groups and factors exist, so a failed build leaves no set behind.
+A block set whose interface grid has at least THREADED_BUILD_MIN_NODES
+nodes is built on two threads (smaller ones, as in the inversion, in the
+same steps on the calling thread alone).  One helper thread, started by
+the build and joined before it returns, assembles 1k1 (and 1k2), then
+01, then 10, while the calling thread assembles 0k0 and 0k1, factors
+A00, and forms X once 01 is ready and C once 10 is.  numpy,
+scipy.special and LAPACK release the interpreter lock, so the two
+overlap.  Each group is computed whole by one thread, and every
+factorization and product keeps its inputs, so the set is the same bit
+for bit as a one-thread build; the BLAS thread count stays whatever the
+caller pinned.  Every getrs (solve with an LU) runs on the calling
+thread: with the OpenBLAS 0.3.30 that scipy 1.17 bundles, two concurrent
+zgetrs calls abort the process ("double free or corruption"), so no two
+may overlap.  The close-curves warning of a group built on the helper is
+issued on the calling thread, from the line that takes the group.  The
+set is stored only once all its groups and factors exist, so a failed
+build leaves no set behind.
 
 The far field of the exterior representation is
 
@@ -78,7 +81,7 @@ the whole chain.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -94,6 +97,10 @@ from .operators import assemble_blocks, assemble_farfield, held_warnings
 LAMBDA_POLE_GUARD = 1e-6
 CHECK_WEIGHT_THRESHOLD = 1e3
 RESIDUAL_RTOL = 1e-10
+# the least interface nodes (2 n) of a block set built on two threads:
+# on the inversion's grids (n = 32 to 64) the groups are too short for
+# the overlap to pay for the handoffs between the threads
+THREADED_BUILD_MIN_NODES = 256
 
 
 @dataclass
@@ -241,9 +248,22 @@ def _operator_blocks(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
     return _last_blocks
 
 
+class _Inline:
+    """Runs each submitted call at once, on the calling thread: the
+    helper of a block set built on one thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
 def _held_group(target, source, k):
-    """``assemble_blocks`` on the helper thread: (group, the messages of
-    its close-curves warnings)."""
+    """``assemble_blocks`` for the helper: (group, the messages of its
+    close-curves warnings)."""
     with held_warnings() as messages:
         return assemble_blocks(target, source, k), messages
 
@@ -260,18 +280,21 @@ def _take(future):
 def _build_block_set(key, grid0: DiscretizedBoundary,
                      grid1: DiscretizedBoundary,
                      params: MediumParams) -> _BlockSet:
-    """Assemble the six groups and factor the interface block on two
-    threads (see module docstring): the helper assembles 1k1 (and 1k2),
-    01 and 10 in that order, while this thread assembles 0k0 and 0k1,
-    builds and factors A00, forms X = A00^-1 B01 once 01 is ready, and C
-    = B10 X once 10 is.  The buried-curve groups go first so that their
-    whole-group kernel arrays overlap those of 0k0 and 0k1, and only the
-    cross blocks' small row panels overlap the factors.  The helper is
-    joined, and its pending groups cancelled, before this returns or
-    raises."""
+    """Assemble the six groups and factor the interface block, on two
+    threads from THREADED_BUILD_MIN_NODES interface nodes on (see module
+    docstring): the helper assembles 1k1 (and 1k2), 01 and 10 in that
+    order, while this thread assembles 0k0 and 0k1, builds and factors
+    A00, forms X = A00^-1 B01 once 01 is ready, and C = B10 X once 10 is.
+    The buried-curve groups go first so that their whole-group kernel
+    arrays overlap those of 0k0 and 0k1, and only the cross blocks' small
+    row panels overlap the factors.  The helper is joined, and its
+    pending groups cancelled, before this returns or raises.  On smaller
+    grids the helper's groups are assembled as they are submitted, on
+    this thread."""
     p = params
     k0, k1, k2 = p.k0, p.k1, p.k2
-    helper = ThreadPoolExecutor(max_workers=1)
+    helper = (ThreadPoolExecutor(max_workers=1)
+              if grid0.size >= THREADED_BUILD_MIN_NODES else _Inline())
     try:
         pending = {"1k1": helper.submit(_held_group, grid1, grid1, k1)}
         if k2 != k1:

@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -621,17 +622,37 @@ def test_interface_factorization_is_freed_with_its_blocks(block_calls,
 
 
 # -- the two-thread build of a block set -----------------------------------
-def _sweep_grids():
-    """The forward benchmark's square/kite pairing at n = 128."""
-    return (discretize(ParametricCurve.preset("rounded_square"), 128),
-            discretize(ParametricCurve.preset("kite"), 128))
+def _sweep_grids(n=128):
+    """The forward benchmark's square/kite pairing, at n = 128."""
+    return (discretize(ParametricCurve.preset("rounded_square"), n),
+            discretize(ParametricCurve.preset("kite"), n))
 
 
-@pytest.mark.parametrize("k0,k2", [(1.0, "k1"), (7.0, "k1"), (7.0, 4.0)])
-def test_threaded_build_matches_serial_build(block_calls, k0, k2):
-    """The two-thread block set equals the one-thread build bit for bit:
-    every group, the LU factors and pivots of A00^T, and C."""
-    g0, g1 = _sweep_grids()
+def test_only_large_block_sets_start_a_helper_thread(block_calls,
+                                                     monkeypatch):
+    """The forward benchmark's grids (n = 128) are built on two threads,
+    the inversion's coarser ones on the calling thread alone."""
+    started = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(True)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "ThreadPoolExecutor", Counted)
+    for n, helpers in ((64, 0), (128, 1)):
+        started.clear()
+        assemble_system(*_sweep_grids(n), _params())
+        assert len(started) == helpers
+
+
+@pytest.mark.parametrize("n,k0,k2", [(128, 1.0, "k1"), (128, 7.0, "k1"),
+                                     (128, 7.0, 4.0), (12, 2.0, 1.3)])
+def test_threaded_build_matches_serial_build(block_calls, n, k0, k2):
+    """The block set, on two threads at n = 128 and on one at n = 12,
+    equals the one-thread reference build bit for bit: every group, the
+    LU factors and pivots of A00^T, and C."""
+    g0, g1 = _sweep_grids(n)
     params = _params(k0=k0, lambda1=1e6, k2=k2)
     block_set = assemble_system(g0, g1, params)._block_set
     assert len(block_calls) == (5 if k2 == "k1" else 6)
@@ -646,11 +667,15 @@ def test_threaded_build_matches_serial_build(block_calls, k0, k2):
     assert _same_bits(block_set.c, c)
 
 
-def test_close_pair_warnings_name_the_forward_solver(block_calls):
+@pytest.mark.parametrize("threaded", [True, False])
+def test_close_pair_warnings_name_the_forward_solver(block_calls, monkeypatch,
+                                                     threaded):
     """Each cross group's close-curves warning is issued on the calling
     thread from its own line of forward.py, so the default filter shows
     both, and an error filter raises out of ``assemble_system`` with no
-    block set stored."""
+    block set stored; on two threads and on one."""
+    if threaded:
+        monkeypatch.setattr(forward, "THREADED_BUILD_MIN_NODES", 0)
     g0 = discretize(ParametricCurve.preset("circle", radius=1.0), 16)
     g1 = discretize(ParametricCurve.preset("circle", radius=0.97), 16)
     with warnings.catch_warnings(record=True) as caught:
@@ -669,12 +694,15 @@ def test_close_pair_warnings_name_the_forward_solver(block_calls):
     assert forward._last_blocks is None
 
 
+@pytest.mark.parametrize("threaded", [True, False])
 @pytest.mark.parametrize("failing", ["0k0", "0k1", "1k1", "01", "10"])
 def test_failed_build_stores_nothing_and_leaves_no_thread(monkeypatch,
-                                                          failing):
+                                                          failing, threaded):
     """A group that fails on either thread fails ``assemble_system`` with
     its own error; no block set is stored, the old one included, and the
     helper thread is gone."""
+    if threaded:
+        monkeypatch.setattr(forward, "THREADED_BUILD_MIN_NODES", 0)
     g0, g1 = _pair()
     params = _params()
     names = {(g0, g0, params.k0): "0k0", (g0, g0, params.k1): "0k1",
