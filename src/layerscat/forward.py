@@ -98,8 +98,9 @@ LAMBDA_POLE_GUARD = 1e-6
 CHECK_WEIGHT_THRESHOLD = 1e3
 RESIDUAL_RTOL = 1e-10
 # the least interface nodes (2 n) of a block set built on two threads:
-# on the inversion's grids (n = 32 to 64) the groups are too short for
-# the overlap to pay for the handoffs between the threads
+# on the inversion's grids (n = 32 to 64) the groups are too small to
+# gain, and threading them made the hard-kite inversion about 20 %
+# slower on a 2-core machine
 THREADED_BUILD_MIN_NODES = 256
 
 
@@ -281,10 +282,11 @@ def _build_block_set(key, grid0: DiscretizedBoundary,
                      grid1: DiscretizedBoundary,
                      params: MediumParams) -> _BlockSet:
     """Assemble the six groups and factor the interface block, on two
-    threads from THREADED_BUILD_MIN_NODES interface nodes on (see module
-    docstring): the helper assembles 1k1 (and 1k2), 01 and 10 in that
-    order, while this thread assembles 0k0 and 0k1, builds and factors
-    A00, forms X = A00^-1 B01 once 01 is ready, and C = B10 X once 10 is.
+    threads when the interface grid has at least THREADED_BUILD_MIN_NODES
+    nodes (see module docstring): the helper assembles 1k1 (and 1k2), 01
+    and 10 in that order, while this thread assembles 0k0 and 0k1, builds
+    and factors A00, forms X = A00^-1 B01 once 01 is ready, and C = B10 X
+    once 10 is.
     The buried-curve groups go first so that their whole-group kernel
     arrays overlap those of 0k0 and 0k1, and only the cross blocks' small
     row panels overlap the factors.  The helper is joined, and its

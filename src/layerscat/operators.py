@@ -83,7 +83,8 @@ CROSS_PLAIN_RATIO = 6.5
 CROSS_PLAIN_KH = 0.75
 CROSS_DEPTH = 5.5
 # fine-grid entries per row panel of a cross block: bounds the kernel
-# arrays a cross block holds at once
+# arrays a cross block holds at once (small enough that the two threads
+# of a block-set build together hold no more than one thread did)
 CROSS_PANEL_ENTRIES = 2**14
 
 KINDS = ("S", "K", "KT", "T")
