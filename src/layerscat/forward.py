@@ -30,10 +30,11 @@ so both LUs are taken of the transposes with no copy.  The
 factorization serves every incident direction and the far-field rows
 that the Jacobian needs, by block substitution (two solves with A00 per
 solve; the transposed solve takes the same three steps with the
-transposed factors and the roles of B01 and B10 swapped); the residual
-checks apply (I+A) and (I+A)^T as one product per group.  The dense
-matrix is assembled only on demand, for the condition estimate of a
-failed solve.
+transposed factors and the roles of B01 and B10 swapped).  Every solve,
+at any lambda1, is checked by its componentwise backward error max_i
+|r_i| / (|I+A| |x| + |b|)_i, with r and the bound on |I+A| |x| (I plus
+each term with |G| and its weights in absolute value) from one product
+per group each.
 
 The medium stores one transmission constant, lambda1 (finite, nonzero).
 The operator groups depend on the grids and the wavenumbers only, and
@@ -57,13 +58,14 @@ scipy.special and LAPACK release the interpreter lock, so the two
 overlap.  Each group is computed whole by one thread, and every
 factorization and product keeps its inputs, so the set is the same bit
 for bit as a one-thread build; the BLAS thread count stays whatever the
-caller pinned.  Every getrs (solve with an LU) runs on the calling
-thread: with the OpenBLAS 0.3.30 that scipy 1.17 bundles, two concurrent
-zgetrs calls abort the process ("double free or corruption"), so no two
-may overlap.  The close-curves warning of a group built on the helper is
-issued on the calling thread, from the line that takes the group.  The
-set is stored only once all its groups and factors exist, so a failed
-build leaves no set behind.
+caller pinned.  Every solve with an LU (``_lu_solve``) hands zgetrs its
+own copy of the pivots, which scipy's wrapper shifts in place during
+the call: two concurrent calls on one shared pivot array abort the
+process ("double free or corruption"), and with copies two threads may
+solve at once.  The close-curves warning of a group built on the helper
+is issued on the calling thread, from the line that takes the group.
+The set is stored only once all its groups and factors exist, so a
+failed build leaves no set behind.
 
 The far field of the exterior representation is
 
@@ -83,7 +85,6 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -95,8 +96,9 @@ from .geometry import DiscretizedBoundary, ParametricCurve, discretize_pair
 from .operators import assemble_blocks, assemble_farfield, held_warnings
 
 LAMBDA_POLE_GUARD = 1e-6
-CHECK_WEIGHT_THRESHOLD = 1e3
-RESIDUAL_RTOL = 1e-10
+# the largest componentwise backward error a solve keeps: 25 times the
+# largest of an unrefined solve from lambda1 = 1e-6 to 1e8 (41 epsilons)
+BACKWARD_ERROR_MAX = 1024 * np.finfo(float).eps
 # the least interface nodes (2 n) of a block set built on two threads:
 # on the inversion's grids (n = 32 to 64) the groups are too small to
 # gain, and threading them made the hard-kite inversion about 20 %
@@ -315,7 +317,7 @@ def _build_block_set(key, grid0: DiscretizedBoundary,
         g01 = _take(pending["01"])
         x = np.empty(g01.shape[::-1], dtype=complex).T
         _scale_halves(g01, (-p.mu0, p.mu0 * p.lambda0), x)
-        x, _ = zgetrs(*lu, x, trans=1, overwrite_b=1)
+        x = _lu_solve(lu, x, 1)
         g10 = _take(pending["10"])
         c = _scale_halves(g10 @ x, (1.0, -1.0))
         del x
@@ -339,6 +341,16 @@ def _lu_of_transpose(mat, first_column):
         raise SolverError("transmission system singular: zero pivot in "
                           f"column {first_column + zero[0]}")
     return lu, piv
+
+
+def _lu_solve(lu, b, trans):
+    """M^-1 b (trans=0) or M^-T b (trans=1) by zgetrs from the LU factors
+    (lu, piv) of M, in place in ``b`` when it is a Fortran-ordered
+    complex array.  scipy's zgetrs shifts ``piv`` to one-based in place
+    for the call, so two threads sharing it corrupt the heap; each call
+    gets its own copy."""
+    x, _ = zgetrs(lu[0], lu[1].copy(), b, trans=trans, overwrite_b=1)
+    return x
 
 
 def _scale_halves(v, scales, out=None):
@@ -430,24 +442,19 @@ class TransmissionSystem:
         n0 = 2 * self.grid0.size
         return slice(0, n0) if block == 0 else slice(n0, None)
 
-    def _dense(self):
-        """(I+A) as one dense array, assembled on demand: for the
-        condition estimate of a failed solve and for tests."""
-        size = 2 * (self.grid0.size + self.grid1.size)
-        a = np.zeros((size, size), dtype=complex)
-        for row in (0, 1):
-            for col in (0, 1):
-                _add_block(self._terms, self.blocks, row, col,
-                           a[self._cut(row), self._cut(col)])
-        return a
-
-    def _product(self, name, v, transposed=False):
+    def _product(self, name, v, transposed=False, scratch=None):
         """The product of group ``name``'s term of A with ``v`` (or of its
         transpose, the term of A^T): one product with the group, or with
-        each of its K and KT quadrants for a diagonal term."""
+        each of its K and KT quadrants for a diagonal term.  Given a real
+        ``scratch`` buffer, the term is taken with |G|, formed there, and
+        its weights in absolute value."""
         term = self._terms[name]
         g, row_scales, col_scales = (self.blocks[name], term.row_scales,
                                      term.col_scales)
+        if scratch is not None:
+            g = np.abs(g, out=scratch[:g.size].reshape(g.shape))
+            row_scales, col_scales = (tuple(map(abs, s))
+                                      for s in (row_scales, col_scales))
         if transposed:
             g, row_scales, col_scales = g.T, col_scales, row_scales
         if col_scales != (1.0, 1.0):
@@ -455,18 +462,24 @@ class TransmissionSystem:
         if not term.diagonal:
             return _scale_halves(g @ v, row_scales)
         m = g.shape[0] // 2
-        u = np.empty(v.shape, dtype=complex)
+        u = np.empty(v.shape, dtype=np.result_type(g, v))
         np.matmul(g[:m, :m], v[:m], out=u[:m])
         np.matmul(g[m:, m:], v[m:], out=u[m:])
         return _scale_halves(u, row_scales)
 
-    def _apply(self, x, transposed=False):
-        """(I+A) x, or (I+A)^T x, from one product per group."""
+    def _apply(self, x, transposed=False, absolute=False):
+        """(I+A) x, or (I+A)^T x, from one product per group.  With
+        ``absolute``, (I + sum of |term|) |x| instead, an entrywise bound
+        on |I+A| |x| (or |I+A|^T |x|), each |G| formed in turn in one
+        scratch buffer."""
+        x = np.abs(x) if absolute else x
+        scratch = (np.empty(max(g.size for g in self.blocks.values()))
+                   if absolute else None)
         out = x.copy()
         for name, term in self._terms.items():
             r, c = (term.col, term.row) if transposed else (term.row, term.col)
             out[self._cut(r)] += self._product(name, x[self._cut(c)],
-                                               transposed)
+                                               transposed, scratch)
         return out
 
     def _factor(self):
@@ -492,62 +505,37 @@ class TransmissionSystem:
         lu0 = self._block_set.lu
         b0, b1 = rhs[self._cut(0)], rhs[self._cut(1)]
         x = np.empty(rhs.shape, dtype=complex)
-        z0, _ = zgetrs(*lu0, b0, trans=trans)
-        x1, _ = zgetrs(*self._schur_lu,
-                       b1 - self._product(first, z0, transposed), trans=trans)
-        x[self._cut(1)] = x1
-        x[self._cut(0)], _ = zgetrs(
-            *lu0, b0 - self._product(second, x1, transposed), trans=trans)
+        z0 = _lu_solve(lu0, b0.copy(order="F"), trans)
+        x[self._cut(1)] = x1 = _lu_solve(
+            self._schur_lu, b1 - self._product(first, z0, transposed), trans)
+        x[self._cut(0)] = _lu_solve(
+            lu0, b0 - self._product(second, x1, transposed), trans)
         return x
 
-    @cached_property
-    def _col_scale(self):
-        """The weight of ``far_field_rows``' residual check: the largest
-        entry of each column of (I+A) when |lambda1| exceeds
-        CHECK_WEIGHT_THRESHOLD, else ones.  The psi3 columns grow with
-        lambda1, so the equations of the transposed system that they hold
-        are measured against their own size.  Built one block of (I+A) at
-        a time."""
-        sizes = (2 * self.grid0.size, 2 * self.grid1.size)
-        if abs(self.params.lambda1) <= CHECK_WEIGHT_THRESHOLD:
-            return np.ones(sum(sizes))
-        col = np.zeros(sum(sizes))
-        for c in (0, 1):
-            for r in (0, 1):
-                block = _add_block(self._terms, self.blocks, r, c,
-                                   np.zeros((sizes[r], sizes[c]),
-                                            dtype=complex))
-                np.maximum(col[self._cut(c)], np.max(np.abs(block), axis=0),
-                           out=col[self._cut(c)])
-        col[col == 0.0] = 1.0
-        return col
-
-    def _refined(self, b, transposed=False, weight=None):
+    def _refined(self, b, transposed=False):
         """Solve (I+A) x = b, or (I+A)^T x = b when ``transposed``, by
-        ``_raw_solve`` with at most three refinement steps.  Every column
-        must end with max|res| <= RESIDUAL_RTOL max|b|, both divided
-        elementwise by ``weight`` when it is given."""
-        def size(v):
-            v = np.abs(v) if weight is None else np.abs(v) / weight[:, None]
-            return np.max(v, axis=0)
-
+        ``_raw_solve``, refined at most three times while the
+        componentwise backward error omega = max_i |r_i| / (|I+A| |x| +
+        |b|)_i of any column exceeds BACKWARD_ERROR_MAX (Oettli and
+        Prager, 1964; Higham, Accuracy and Stability of Numerical
+        Algorithms, 2002, section 7); a zero row of the denominator has r
+        = 0 and adds nothing.  Raises SolverError with the worst omega,
+        its column and the refinement count if one is still above."""
         x = self._raw_solve(b, transposed)
-        scale = size(b)
-        scale[scale == 0.0] = 1.0
-        for refinements in range(4):  # at most three refinement steps
+        for refinements in range(4):
             res = b - self._apply(x, transposed)
-            res_size = size(res)
-            ok = np.all(res_size <= RESIDUAL_RTOL * scale)
-            if ok or refinements == 3:
-                break
-            x = x + self._raw_solve(res, transposed)
-        if not ok:
-            cond = np.linalg.cond(self._dense(), 1)
-            raise SolverError(
-                f"discrete residual {np.max(res_size):.3e} exceeds "
-                f"{RESIDUAL_RTOL:g} * ||R||; condition estimate {cond:.3e}"
-            )
-        return x
+            bound = self._apply(x, transposed, absolute=True) + np.abs(b)
+            omega = np.max(np.abs(res) / np.where(bound > 0.0, bound, 1.0),
+                           axis=0)
+            worst = np.argmax(omega)
+            if omega[worst] <= BACKWARD_ERROR_MAX:
+                return x
+            if refinements < 3:
+                x = x + self._raw_solve(res, transposed)
+        raise SolverError(
+            f"componentwise backward error {omega[worst]:.3e} of column "
+            f"{worst} exceeds {BACKWARD_ERROR_MAX:.3e} after "
+            f"{refinements} refinements")
 
     def solve_stacked(self, rhs):
         """Solve (I+A) x = rhs with iterative refinement; rhs may hold
@@ -586,11 +574,8 @@ class TransmissionSystem:
 
         G = [lambda0 K_inf, S_inf, 0, 0] is the far-field map on the
         densities, and W^T comes from one solve with the transposed
-        system on the existing factorization, n_obs columns in all.  Its
-        refinement check divides residual and right-hand side by the
-        largest entry of each column of (I+A) once |lambda1| exceeds
-        CHECK_WEIGHT_THRESHOLD, and below that is the check of
-        ``solve_stacked``.
+        system on the existing factorization, n_obs columns in all, under
+        the backward-error check of ``solve_stacked``.
         """
         s_mat, k_mat = self.farfield_maps(directions)
         size = 2 * (self.grid0.size + self.grid1.size)
@@ -598,7 +583,7 @@ class TransmissionSystem:
         n0 = self.grid0.size
         g[:n0] = self.params.lambda0 * k_mat.T
         g[n0:2 * n0] = s_mat.T
-        wt = self._refined(g, True, self._col_scale)
+        wt = self._refined(g, True)
         return wt.T
 
     # -- boundary traces ---------------------------------------------------

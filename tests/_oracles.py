@@ -9,10 +9,10 @@ Fourier mode for starlike radii, node-map densities and the radial
 normal components, an all-pairs self-crossing test for one closed
 curve, a one-candidate-at-a-time Newton loop for the
 closest approaches of a curve pair, the direct Jacobian path (one solve per
-derivative problem) for the far-field-rows Jacobian, one equilibrated LU
-of the whole transmission matrix for its block factorization, the block
-set built on one thread (groups in order, then LU(A00), X and C) for the
-two-thread build, the Dirichlet
+derivative problem) for the far-field-rows Jacobian, the dense
+transmission matrix and one equilibrated LU of it for its block
+factorization, the block set built on one thread (groups in order, then
+LU(A00), X and C) for the two-thread build, the Dirichlet
 kernel for the cross-block decimation, the cross-curve blocks at one
 fixed oversampling for every pair, and a Newton loop at one fixed
 resolution for the resolution ladder.  The Hankel,
@@ -36,7 +36,7 @@ from scipy import special as ssp
 from scipy.linalg.lapack import zgetrf, zgetrs
 
 from layerscat.errors import ConfigurationError, DomainError, SolverError
-from layerscat.forward import DensityVector, TransmissionSystem
+from layerscat.forward import TransmissionSystem, _add_block
 from layerscat.frechet import derivative_boundary_data
 from layerscat.geometry import discretize
 from layerscat.operators import KINDS, _quadrant, assemble_blocks
@@ -278,28 +278,14 @@ def curve_is_simple(curve, n_check=512):
     return not np.any(_crossings(pts, pts) & ~ignore)
 
 
-def direct_derivative_far_field(system, traces, directions, obs_directions,
-                                check=True):
+def direct_derivative_far_field(system, traces, directions, obs_directions):
     """Far fields of the derivative problems the direct way: solve every
-    (incident, direction) column with ``solve_stacked`` and apply the
-    far-field map to the densities.  Same columns as
-    ``frechet.derivative_far_field``.
-
-    ``check=False`` takes the same factorization and three refinement
-    steps without the residual check, which near-zero columns of a
-    system at |lambda1| ~ 1e6 can fail at roundoff level.
-    """
+    (incident, direction) column with ``solve_stacked``, under its
+    backward-error check, and apply the far-field map to the densities.
+    Same columns as ``frechet.derivative_far_field``."""
     data = derivative_boundary_data(traces, directions, system.params,
                                     system.grid0, system.grid1)
-    if check:
-        return system.far_field(system.solve(data), obs_directions)
-    b = data.stacked(system.params.mu0, system.params.mu1)
-    dense = system._dense()
-    x = system._raw_solve(b)
-    for _ in range(3):
-        x = x + system._raw_solve(b - dense @ x)
-    dens = DensityVector.from_stacked(x, system.grid0.size, system.grid1.size)
-    return system.far_field(dens, obs_directions)
+    return system.far_field(system.solve(data), obs_directions)
 
 
 def transmission_matrix(system):
@@ -330,16 +316,28 @@ def transmission_matrix(system):
     return a + np.eye(a.shape[0])
 
 
+def dense_matrix(system):
+    """(I+A) of a ``TransmissionSystem`` as one dense array, assembled
+    block by block by the package's ``_add_block`` from the system's
+    terms and operator groups."""
+    size = 2 * (system.grid0.size + system.grid1.size)
+    a = np.zeros((size, size), dtype=complex)
+    for row in (0, 1):
+        for col in (0, 1):
+            _add_block(system._terms, system.blocks, row, col,
+                       a[system._cut(row), system._cut(col)])
+    return a
+
+
 class FullLUSystem(TransmissionSystem):
     """The transmission system factored the direct way: one LU of the
-    whole (I+A)^T, assembled densely by the package's ``_dense``, taken
-    of D_r^-1 (I+A) D_c^-1 (largest entry of each column, then of each
-    row, scaled to one) when |lambda1| > 1e3.  Operator groups,
-    refinement, residual checks (weighted by the same column scale in
-    ``far_field_rows``), far fields and traces are the package's."""
+    whole (I+A)^T, assembled densely by ``dense_matrix``, taken of D_r^-1
+    (I+A) D_c^-1 (largest entry of each column, then of each row, scaled
+    to one) when |lambda1| > 1e3.  Operator groups, refinement, the
+    backward-error check, far fields and traces are the package's."""
 
     def _factor(self):
-        m = self._dense()
+        m = dense_matrix(self)
         n = m.shape[0]
         if abs(self.params.lambda1) > 1e3:
             col = np.max(np.abs(m), axis=0)

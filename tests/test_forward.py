@@ -1,6 +1,7 @@
 """Forward transmission solver: oracle equivalence, linearity,
 reciprocity, trace consistency, and the reuse of operator blocks across
-systems, and the two-thread build of a block set."""
+systems, the two-thread build of a block set, concurrent solves, and the
+backward-error check of every solve."""
 
 import threading
 import tracemalloc
@@ -22,7 +23,7 @@ from layerscat.forward import (BoundaryData, MediumParams, TransmissionSystem,
 from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
                                 discretize_pair)
 
-from _oracles import (FullLUSystem, kinds, serial_block_set,
+from _oracles import (FullLUSystem, dense_matrix, kinds, serial_block_set,
                       transmission_matrix)
 
 
@@ -113,24 +114,18 @@ def test_solves_match_dense_solve_of_the_system_and_its_transpose(
     # solve_stacked and far_field_rows against dense solves of D_r^-1
     # (I+A) D_c^-1 and its transpose, with the scales of the full-LU
     # oracle (identities at lambda1 = 2); at lambda1 = 1e6 a dense solve
-    # of the unscaled matrix is itself off by 4e-11.  far_field_rows
-    # weighs its check by the oracle's column scale
+    # of the unscaled matrix is itself off by 4e-11
     g0 = discretize(ParametricCurve.preset("rounded_triangle"), 24)
     g1 = discretize(ParametricCurve.preset("apple"), 20)
     system = assemble_system(g0, g1, _params(k0=3.0, lambda1=lambda1))
     oracle = FullLUSystem(g0, g1, system.params)
     col, row = oracle._col_scale, oracle._row_scale
     assert np.any(col != 1.0) == equilibrated
-    assert np.array_equal(system._col_scale, col)
-    dense = system._dense()
+    dense = dense_matrix(system)
     scaled = dense / row[:, None] / col[None, :]
     rng = np.random.default_rng(3)
     size = dense.shape[0]
-    # data on the interface only, as plane waves give; random data on the
-    # buried curve trip the residual check at lambda1 = 1e6 with either LU
-    rhs = np.zeros((size, 4), dtype=complex)
-    rhs[:2 * g0.size] = (rng.standard_normal((2 * g0.size, 4))
-                         + 1j * rng.standard_normal((2 * g0.size, 4)))
+    rhs = rng.standard_normal((size, 4)) + 1j * rng.standard_normal((size, 4))
     ref = np.linalg.solve(scaled, rhs / row[:, None]) / col[:, None]
     got = system.solve_stacked(rhs)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -148,7 +143,7 @@ def test_system_size_and_lambda1_one_block():
     g0 = discretize(ParametricCurve.preset("circle", radius=2.0), 32)
     g1 = discretize(ParametricCurve.preset("circle", radius=1.0), 32)
     system = assemble_system(g0, g1, _params(lambda1=1.0))
-    dense = system._dense()
+    dense = dense_matrix(system)
     assert dense.shape == (256, 256)
     # lambda1 = 1 with k2 = k1 makes the (3,3) block vanish: the
     # diagonal block of I+A there is exactly the identity
@@ -171,7 +166,7 @@ def test_far_field_matches_concentric_oracle():
     data = plane_wave_data(system.grid0, system.grid1, 2.0, d)
     rhs = data.stacked(system.params.mu0, system.params.mu1)
     psi = np.concatenate([dens.psi1, dens.psi2, dens.psi3, dens.psi4])
-    res = np.max(np.abs(system._dense() @ psi - rhs))
+    res = np.max(np.abs(dense_matrix(system) @ psi - rhs))
     assert res <= 1e-10 * np.max(np.abs(rhs))
 
 
@@ -348,7 +343,7 @@ def test_block_reuse_is_exact(block_calls, lambda1):
     data = plane_wave_data(g0, g1, 2.0, observation_directions(3))
     rhs = data.stacked(fresh.params.mu0, fresh.params.mu1)
     obs = observation_directions(8)
-    assert _same_bits(reused._dense(), fresh._dense())
+    assert _same_bits(dense_matrix(reused), dense_matrix(fresh))
     psi_r, psi_f = reused.solve_stacked(rhs), fresh.solve_stacked(rhs)
     assert _same_bits(psi_r, psi_f)
     dens_r, dens_f = reused.solve(data), fresh.solve(data)
@@ -540,7 +535,7 @@ def test_group_terms_make_the_transmission_matrix(k2, lambda1):
     system = assemble_system(g0, g1, _params(lambda1=lambda1, k2=k2))
     assert (len(system._terms) == 5) == (k2 == "k1")
     ref = transmission_matrix(system)
-    dense = system._dense()
+    dense = dense_matrix(system)
     assert np.max(np.abs(dense - ref)) <= 1e-14 * np.max(np.abs(ref))
     rng = np.random.default_rng(7)
     x = rng.standard_normal((ref.shape[0], 3)) + 1j * rng.standard_normal(
@@ -729,34 +724,63 @@ def test_failed_build_stores_nothing_and_leaves_no_thread(monkeypatch,
     assert threading.active_count() == before
 
 
-def test_at_most_one_getrs_in_flight(block_calls, monkeypatch):
-    """Every solve with an LU runs on the calling thread, one at a time:
-    with the bundled OpenBLAS, two concurrent zgetrs calls can abort the
-    process.  Checked on the forward-benchmark pairing and on
-    ``far_field_rows``."""
-    lock = threading.Lock()
-    in_flight, most, threads = [0], [0], set()
-    getrs = forward.zgetrs
-
-    def counted(*args, **kwargs):
-        with lock:
-            in_flight[0] += 1
-            most[0] = max(most[0], in_flight[0])
-            threads.add(threading.get_ident())
-        try:
-            return getrs(*args, **kwargs)
-        finally:
-            with lock:
-                in_flight[0] -= 1
-
-    monkeypatch.setattr(forward, "zgetrs", counted)
-    g0, g1 = _sweep_grids()
+def test_two_threads_solve_two_systems_at_once():
+    """Solves with an LU may run on two threads at once, although both
+    systems share one block set and so LU(A00) and its pivots (which
+    scipy's zgetrs shifts in place during a call): on the forward
+    benchmark's pairing at n = 32, each system solved on its own thread
+    with (I+A) and with (I+A)^T gives its serial results bit for bit."""
+    g0, g1 = _sweep_grids(32)
     incident, obs = observation_directions(16), observation_directions(64)
-    for lambda1 in (1e-6, 1e6):
-        system = assemble_system(g0, g1, _params(k0=7.0, lambda1=lambda1))
-        dens = system.solve(plane_wave_data(g0, g1, 7.0, incident))
-        assert np.all(np.isfinite(system.far_field(dens, obs)))
-    assert np.all(np.isfinite(system.far_field_rows(obs)))
-    assert len(block_calls) == 5
-    assert most == [1]
-    assert threads == {threading.get_ident()}
+    systems = [assemble_system(g0, g1, _params(k0=7.0, lambda1=lambda1))
+               for lambda1 in (1e-6, 1e6)]
+    rhs = [plane_wave_data(g0, g1, 7.0, incident).stacked(s.params.mu0,
+                                                          s.params.mu1)
+           for s in systems]
+    assert systems[0]._block_set is systems[1]._block_set
+
+    def solves(i):
+        return systems[i].solve_stacked(rhs[i]), systems[i].far_field_rows(obs)
+
+    serial = [solves(i) for i in (0, 1)]
+    start = threading.Barrier(2)
+
+    def repeated(i):
+        start.wait()
+        return [solves(i) for _ in range(20)]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        concurrent = list(pool.map(repeated, (0, 1)))
+    for ref, runs in zip(serial, concurrent):
+        for psi, rows in runs:
+            assert _same_bits(psi, ref[0]) and _same_bits(rows, ref[1])
+
+
+# -- the backward-error check of every solve -------------------------------
+@pytest.mark.parametrize("transposed", [False, True])
+def test_corrupted_factor_fails_the_check(transposed):
+    """One U-diagonal entry of LU(S) doubled: each refinement then cuts
+    the error only by half, so the check still fails after three
+    refinements, in ``solve_stacked`` and ``far_field_rows`` alike."""
+    g0, g1 = _pair()
+    system = assemble_system(g0, g1, _params())
+    system._schur_lu[0][3, 3] *= 2.0
+    message = r"componentwise backward error \S+ of column \d+ exceeds .* " \
+        r"after 3 refinements"
+    data = plane_wave_data(g0, g1, 2.0, observation_directions(3))
+    with pytest.raises(SolverError, match=message):
+        if transposed:
+            system.far_field_rows(observation_directions(8))
+        else:
+            system.solve(data)
+
+
+def test_zero_column_has_zero_backward_error(monkeypatch):
+    """A zero right-hand side has the zero solution, with omega = 0 (not
+    0/0), so even a zero bound accepts it, in both directions."""
+    g0, g1 = _pair()
+    system = assemble_system(g0, g1, _params())
+    monkeypatch.setattr(forward, "BACKWARD_ERROR_MAX", 0.0)
+    zero = np.zeros((2 * (g0.size + g1.size), 2), dtype=complex)
+    for transposed in (False, True):
+        assert np.all(system._refined(zero, transposed) == 0.0)

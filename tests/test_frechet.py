@@ -21,7 +21,7 @@ from layerscat.geometry import (ParametricCurve, StarlikeShape, discretize,
 from layerscat.inverse import (ShapeState, SolverConfig,
                                finite_difference_check, transmission_slot)
 
-from _oracles import (direct_derivative_far_field,
+from _oracles import (FullLUSystem, direct_derivative_far_field,
                       radial_normal_component as radial_normal_oracle)
 
 
@@ -239,10 +239,8 @@ def test_jacobian_is_one_solve_in_the_per_pair_layout(monkeypatch):
 @pytest.mark.parametrize("lambda1", [1e-6, 1.0, 1e4, 1e6])
 def test_jacobian_matches_direct_solves(lambda1, form):
     # the graded kite/rounded-square pair, two incident directions, from
-    # the sound-hard to the sound-soft stand-in; at 1e4 and 1e6 the far-
-    # field rows weigh their residual check by the column scale, and at
-    # 1e6 near-zero columns of the direct solves can miss their own
-    # residual check at roundoff level
+    # the sound-hard to the sound-soft stand-in; the far-field rows and
+    # the direct solves both pass the backward-error check
     obs = observation_directions(32)
     params = MediumParams.create(k0=1.0, n1=0.64, lambda0=1.2,
                                  lambda1=lambda1)
@@ -250,7 +248,6 @@ def test_jacobian_matches_direct_solves(lambda1, form):
         ParametricCurve.preset("rounded_square"), ParametricCurve.preset("kite"),
         params, observation_directions(2), 64, obs)
     assert system.grid1.node_map is not None
-    assert np.any(system._col_scale != 1.0) == (lambda1 > 1e3)
     # an infinite switch keeps the lambda1 slot, a zero one takes tau1
     got_form, label, dlambda1 = transmission_slot(
         lambda1, np.inf if form == "lambda" else 0.0)
@@ -259,14 +256,47 @@ def test_jacobian_matches_direct_solves(lambda1, form):
                                 label, dlambda1)
     c = len(dirs.labels)
     jac, _ = jacobian(system, traces, ff.T, ff.T, dirs, obs)
-    direct = direct_derivative_far_field(system, traces, dirs, obs,
-                                         check=lambda1 < 1e6)
+    direct = direct_derivative_far_field(system, traces, dirs, obs)
     expected = real_rows(direct.reshape(32, 2, c).transpose(1, 0, 2))
     assert np.max(np.abs(jac - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_far_field_rows_raise_when_refinement_fails(monkeypatch):
-    _, _, system, *_, obs = _base_setup()
-    monkeypatch.setattr(forward, "RESIDUAL_RTOL", 0.0)
-    with pytest.raises(SolverError, match="condition estimate"):
+    # with a zero bound no column passes, in either direction
+    _, _, system, g0, g1, _, traces, obs = _base_setup()
+    dirs = canonical_directions(g0, g1, (0.0, 0.0), 3, "lambda1", 1.0)
+    data = derivative_boundary_data(traces, dirs, system.params, g0, g1)
+    monkeypatch.setattr(forward, "BACKWARD_ERROR_MAX", 0.0)
+    message = (r"componentwise backward error \S+ of column \d+ exceeds "
+               r"0\.000e\+00 after 3 refinements")
+    with pytest.raises(SolverError, match=message):
         system.far_field_rows(obs)
+    with pytest.raises(SolverError, match=message):
+        system.solve(data)
+
+
+@pytest.mark.parametrize("lambda1", [1e-6, 1.0, 1e5, 1e6, 1e8])
+def test_solve_check_accepts_exact_solves_at_any_lambda1(lambda1):
+    """The backward-error check accepts backward-stable solves from the
+    sound-hard stand-in to far past the sound-soft one, where a residual
+    check relative to max|b| failed small derivative columns (here at 1e6
+    and 1e8).  Graded rounded-square/kite pair,
+    n = 64, k0 = 4, three incident directions, the 315 derivative
+    columns of 25 modes and 64 far-field rows, both against the
+    equilibrated full LU."""
+    obs = observation_directions(64)
+    params = MediumParams.create(k0=4.0, n1=0.64, lambda0=1.2,
+                                 lambda1=lambda1)
+    _, traces, _, system = solve_plane_wave(
+        ParametricCurve.preset("rounded_square"), ParametricCurve.preset("kite"),
+        params, observation_directions(3), 64, obs)
+    g0, g1 = system.grid0, system.grid1
+    assert g1.node_map is not None
+    dirs = canonical_directions(g0, g1, (0.0, 0.0), 25, "lambda1", 1.0)
+    rhs = derivative_boundary_data(traces, dirs, params, g0, g1).stacked(
+        params.mu0, params.mu1)
+    assert rhs.shape[1] == 315
+    oracle = FullLUSystem(g0, g1, params)
+    for got, ref in ((system.solve_stacked(rhs), oracle.solve_stacked(rhs)),
+                     (system.far_field_rows(obs), oracle.far_field_rows(obs))):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
