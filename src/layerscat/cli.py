@@ -12,14 +12,13 @@ Subcommands:
 * ``export-plot``      expand a trace JSON into per-iteration curve CSVs.
 
 Exit codes: 0 success, 1 input/usage error (an invalid truth or initial
-geometry included), 2 numerical failure.
+geometry and an unusable file path included), 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -269,8 +268,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ConfigurationError, DataFormatError, GeometryError,
-            json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ConfigurationError, DataFormatError, GeometryError, OSError) as exc:
         print(f"layerscat: input error: {exc}", file=sys.stderr)
         return 1
     except LayerscatError as exc:

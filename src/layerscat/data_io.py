@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
-from .forward import observation_directions, solve_plane_wave
-from .geometry import ParametricCurve, validate_pair
+from .forward import observation_directions, solve_on_grids
+from .geometry import ParametricCurve, discretize_pair, validate_pair
 from .inverse import ReconstructionTrace, SolverConfig, discrete_l2_sq
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -99,11 +99,11 @@ def synthesize(curve0: ParametricCurve, curve1: ParametricCurve,
     (GeometryError otherwise).
     """
     validate_pair(curve0, curve1)
+    grids = discretize_pair(curve0, curve1, config.n_synth)
     inc = observation_directions(config.num_incident)
     obs = observation_directions(config.n_obs)
     values = np.stack([
-        solve_plane_wave(curve0, curve1, config.medium(k0, lambda1_true), inc,
-                         config.n_synth, obs)[0].T
+        solve_on_grids(*grids, config.medium(k0, lambda1_true), inc, obs)[0].T
         for k0 in config.frequencies])
     ang = 2.0 * np.pi * np.arange(config.num_incident) / config.num_incident
     return Dataset(frequencies=np.asarray(config.frequencies),
@@ -170,7 +170,10 @@ def write_dataset(dataset: Dataset, path):
 
 def read_dataset(path) -> Dataset:
     """Parse a dataset CSV (and sidecar, if present) back losslessly."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or lines[0].strip() != _DATASET_HEADER:
         raise DataFormatError(
@@ -232,7 +235,7 @@ def read_config(path) -> SolverConfig:
     unknown keys are rejected."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: config must be a JSON object")
@@ -261,7 +264,7 @@ def read_trace(path) -> dict:
     and ``stage_final`` and the string ``classification``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: trace must be a JSON object")

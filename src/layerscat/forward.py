@@ -226,10 +226,10 @@ class _BlockSet:
     c: np.ndarray
 
 
-# The block set of the last assembly, or None.  One slot: systems on the
-# same key, such as one geometry at several lambda1, share one block set
-# and its interface factorization, and at most one set outlives the
-# systems that use it.
+# The block set of the last assembly, or None: module state, so that
+# callers that drop each system (one geometry at several lambda1, one
+# assemble_system call each) share one block set and its interface
+# factorization.  At most one set outlives the systems that use it.
 _last_blocks = None
 
 
@@ -649,7 +649,13 @@ def solve_plane_wave(curve0: ParametricCurve, curve1: ParametricCurve,
     (n_obs,) or (n_obs, P); the factored system serves further
     right-hand sides on the same geometry.
     """
-    grid0, grid1 = discretize_pair(curve0, curve1, n)
+    return solve_on_grids(*discretize_pair(curve0, curve1, n), params, d,
+                          obs_directions)
+
+
+def solve_on_grids(grid0: DiscretizedBoundary, grid1: DiscretizedBoundary,
+                   params: MediumParams, d, obs_directions):
+    """``solve_plane_wave`` after discretization, on given grids."""
     system = assemble_system(grid0, grid1, params)
     dens = system.solve(plane_wave_data(grid0, grid1, params.k0, d))
     ff = system.far_field(dens, obs_directions)

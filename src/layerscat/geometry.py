@@ -22,11 +22,9 @@ smallest vertex distance, L the longest segment), a crossing has two
 endpoints within L of each other, and without a crossing all buried
 vertices share one side, so one vertex is cast unless the polylines cross.
 
-A curve pair is analysed once: ``validate_pair`` and the node grading
-of ``discretize_pair`` share a single-slot memo (``_pair_memo``) that
-holds the last pair's polyline separation and node maps, so the
-resolution checks of a Newton iterate reuse its maps, and a pair
-validated at least GRADING_OFF apart skips the grading analysis.
+``validate_pair`` and ``discretize_pair`` keep nothing between calls: a
+caller that discretizes one pair at several n keeps its node maps, as
+the Newton iterate (``inverse.ShapeState``) does.
 """
 
 from __future__ import annotations
@@ -511,7 +509,8 @@ def _node_map(curve: ParametricCurve, approaches, strength):
     return NodeMap(base_cos, base_sin, centers, widths, _readonly(weights))
 
 
-def _pair_node_maps(outer: ParametricCurve, inner: ParametricCurve):
+def _pair_node_maps(outer: ParametricCurve, inner: ParametricCurve,
+                    separation: float | None = None):
     """Node maps that grade both curves toward their closest approach.
 
     The layer densities of a close pair are analytic only in a strip of
@@ -532,22 +531,15 @@ def _pair_node_maps(outer: ParametricCurve, inner: ParametricCurve):
     both are None, the identity, when the curves are at least
     GRADING_OFF apart.
 
-    The maps depend on the curves only, so each pair is analysed once:
-    see ``_pair_memo``.  When ``validate_pair`` has measured the pair's
-    polyline separation at GRADING_OFF or more, the maps are the
-    identity without the sampled distance table: the GRADING_SAMPLES
-    samples are vertices of the VALIDATION_GRID polylines, so no sampled
-    distance falls below the separation, and no sample can start a
-    closest-approach search (up to a relative roundoff slack of 1e-12).
+    Given the pair's ``validate_pair`` separation at GRADING_OFF or more,
+    the maps are the identity without the sampled distance table: the
+    GRADING_SAMPLES samples are vertices of the VALIDATION_GRID
+    polylines, so no sampled distance falls below the separation and no
+    sample starts a closest-approach search (roundoff slack 1e-12).
     """
-    memo = _pair_memo(outer, inner)
-    if memo.maps is None:
-        if (memo.separation is not None
-                and memo.separation >= GRADING_OFF * (1.0 + 1e-12)):
-            memo.maps = (None, None)
-        else:
-            memo.maps = _graded_node_maps(outer, inner)
-    return memo.maps
+    if separation is not None and separation >= GRADING_OFF * (1.0 + 1e-12):
+        return None, None
+    return _graded_node_maps(outer, inner)
 
 
 def _graded_node_maps(outer: ParametricCurve, inner: ParametricCurve):
@@ -566,42 +558,10 @@ def _graded_node_maps(outer: ParametricCurve, inner: ParametricCurve):
             _node_map(inner, found[1], strength))
 
 
-@dataclass(eq=False)
-class _PairAnalysis:
-    """What is known of one curve pair: the polyline separation measured
-    by ``validate_pair`` and the node maps of ``_pair_node_maps``, each
-    None until computed."""
-
-    key: tuple
-    separation: float | None = None
-    maps: tuple | None = None
-
-
-_last_pair: _PairAnalysis | None = None
-
-
-def _pair_memo(outer: ParametricCurve, inner: ParametricCurve) -> _PairAnalysis:
-    """The analysis slot of (outer, inner): the stored one if it belongs
-    to the same two curves, else a fresh one that replaces it, so at
-    most one pair is retained.
-
-    A starlike curve is identified by its frozen ``StarlikeShape``, since
-    every Newton iterate wraps the same shapes in new ParametricCurve
-    objects; a preset by the curve object itself.  The slot holds its
-    keys, so no other object can take their identity while it lives.
-    """
-    global _last_pair
-    key = tuple(c.shape if c.kind == "starlike" else c for c in (outer, inner))
-    last = _last_pair
-    if last is None or any(a is not b for a, b in zip(key, last.key)):
-        last = _last_pair = _PairAnalysis(key)
-    return last
-
-
 def discretize_pair(outer: ParametricCurve, inner: ParametricCurve, n: int):
     """Discretize the interface and the buried boundary with 2n nodes
     each, graded toward their closest approach by ``_pair_node_maps``
-    (equispaced, as ``discretize``, for well-separated curves)."""
+    (equispaced for well-separated curves), analysed on every call."""
     map0, map1 = _pair_node_maps(outer, inner)
     return discretize(outer, n, map0), discretize(inner, n, map1)
 
@@ -738,9 +698,6 @@ def validate_pair(outer: ParametricCurve, inner: ParametricCurve) -> float:
       at distance 0, which fails the margin anyway; so all inner
       vertices share one crossing parity, and one is ray-cast unless
       the polylines cross.
-
-    An accepted pair's separation is kept in its memo slot for
-    ``_pair_node_maps``.
     """
     pts_outer = _checked_polyline(outer)
     pts_inner = _checked_polyline(inner)
@@ -755,5 +712,4 @@ def validate_pair(outer: ParametricCurve, inner: ParametricCurve) -> float:
         )
     if crosses:
         raise GeometryError("interface and buried boundary polylines intersect")
-    _pair_memo(outer, inner).separation = dmin
     return dmin

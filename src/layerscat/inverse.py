@@ -19,11 +19,15 @@ rung's to RESOLUTION_RTOL times the stage's target max(tau_stop delta,
 err).  The check runs at stage start and again whenever err has fallen
 tenfold since the last one, and the resolution never goes down within
 a stage.  A solver failure inside a stage aborts that stage only.
+
+Each iterate (``ShapeState``) validates its curve pair and grades its
+nodes once, and discretizes every rung from those node maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,9 +35,10 @@ import scipy.linalg as sla
 from .errors import (ConfigurationError, DataFormatError, GeometryError,
                      SolverError, StageAbortError)
 from .forward import (LAMBDA_POLE_GUARD, MediumParams, observation_directions,
-                      solve_plane_wave)
+                      solve_on_grids, solve_plane_wave)
 from .frechet import canonical_directions, jacobian, real_rows
-from .geometry import ParametricCurve, StarlikeShape, validate_pair
+from .geometry import (ParametricCurve, StarlikeShape, _pair_node_maps,
+                       discretize, validate_pair)
 
 STEP_HALVINGS = 10
 BETA_MIN = 1e-12
@@ -46,10 +51,12 @@ RESOLUTION_RTOL = 1e-2
 RECHECK_DROP = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapeState:
     """Current reconstruction iterate: two starlike boundaries, lambda1,
-    and the slot form of the step that made it."""
+    and the slot form of the step that made it.  Its ``separation``
+    (``validate_pair``) and ``node_maps`` are computed once and live with
+    it; ``grids(n)`` are those of ``discretize_pair``, from its maps."""
 
     gamma0: StarlikeShape
     gamma1: StarlikeShape
@@ -74,6 +81,17 @@ class ShapeState:
     def curves(self):
         return (ParametricCurve.starlike(self.gamma0),
                 ParametricCurve.starlike(self.gamma1))
+
+    @cached_property
+    def separation(self) -> float:
+        return validate_pair(*self.curves())
+
+    @cached_property
+    def node_maps(self):
+        return _pair_node_maps(*self.curves(), self.separation)
+
+    def grids(self, n: int):
+        return tuple(map(discretize, self.curves(), (n, n), self.node_maps))
 
 
 @dataclass
@@ -354,7 +372,7 @@ def apply_step(state: ShapeState, delta, form: str, include_center: bool,
     for halvings in range(STEP_HALVINGS + 1):
         cand = _candidate_state(state, step, form, include_center, modes)
         try:
-            separation = validate_pair(*cand.curves())
+            separation = cand.separation
         except GeometryError:
             step = 0.5 * step
             continue
@@ -414,9 +432,9 @@ def newton_iteration(state: ShapeState, data, k0: float, config: SolverConfig):
     rung, estimate, err_checked = 0, None, None
 
     def solve(n):
-        return solve_plane_wave(
-            *state.curves(), config.medium(k0, state.lambda1), incident_dirs,
-            n, obs_dirs)
+        return solve_on_grids(*state.grids(n),
+                              config.medium(k0, state.lambda1),
+                              incident_dirs, obs_dirs)
 
     records = []
     recorded = state
@@ -494,6 +512,8 @@ def finite_difference_check(state: ShapeState, config: SolverConfig,
 
     Returns {direction label: relative l2 column error}.
     """
+    if not 0.0 < step < np.inf:
+        raise ConfigurationError(f"step must be positive and finite, got {step}")
     incident = observation_directions(config.num_incident)
     obs = observation_directions(config.n_obs)
 
@@ -535,7 +555,7 @@ def multi_frequency_drive(initial: ShapeState, dataset, config: SolverConfig):
         raise ConfigurationError(
             f"dataset frequencies {freqs} do not match config "
             f"{tuple(config.frequencies)}")
-    validate_pair(*initial.curves())
+    initial.separation  # GeometryError for an invalid pair
     state = initial
     trace = ReconstructionTrace()
     for qi, k0 in enumerate(freqs):

@@ -162,6 +162,43 @@ def test_unreadable_input_exits_one(tmp_path, capsys, argv, named):
     assert "input error" in err and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--config", "DIR", "--truth-outer", "circle:2.0",
+     "--truth-inner", "circle:0.8", "--truth-lambda1", "1"],
+    ["synth", "--config", "LATIN1", "--truth-outer", "circle:2.0",
+     "--truth-inner", "circle:0.8", "--truth-lambda1", "1"],
+    ["invert", "--data", "LATIN1"],
+    ["export-plot", "--trace", "DIR"],
+    ["export-plot", "--trace", "TRACE", "--out", "FILE"],
+], ids=["config-directory", "config-not-utf8", "data-not-utf8",
+        "trace-directory", "out-existing-file"])
+def test_unusable_path_exits_one(tmp_path, capsys, argv):
+    # the operating system's and the decoder's errors name the path
+    paths = {name: tmp_path / name for name in ("DIR", "LATIN1", "TRACE",
+                                                "FILE")}
+    paths["DIR"].mkdir()
+    paths["LATIN1"].write_bytes('{"k0": "\xe9"}'.encode("latin-1"))
+    paths["TRACE"].write_text(json.dumps(
+        {"iterations": [], "stage_final": [],
+         "classification": "inconclusive"}))
+    paths["FILE"].write_text("")
+    named = next(str(paths[a]) for a in argv if a in paths and a != "TRACE")
+    argv = [str(paths.get(a, a)) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf"])
+def test_check_derivative_rejects_bad_step(small_config_path, capsys, step):
+    assert main(["check-derivative", "--config", str(small_config_path),
+                 f"--step={step}"]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "step must be positive and finite" in err
+
+
 @pytest.mark.parametrize("doc,named", [
     (5, "JSON object"),
     ({"iterations": 5, "stage_final": [], "classification": "inconclusive"},

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerscat import forward
-from layerscat.errors import SolverError
+from layerscat.errors import ConfigurationError, SolverError
 from layerscat.forward import (MediumParams, TransmissionSystem,
                                observation_directions, solve_plane_wave)
 from layerscat.frechet import (DirectionColumns, canonical_directions,
@@ -169,6 +169,12 @@ def test_jacobian_against_finite_differences_coarse():
         state, replace(config, lambda_switch=1e9), k0=2.0, step=1e-3)
     assert "lambda1" in errors_l
     assert max(errors_l.values()) < 1e-2
+
+
+def test_finite_difference_step_must_be_positive_and_finite():
+    state, config, *_ = _base_setup()
+    with pytest.raises(ConfigurationError, match="step must be positive"):
+        finite_difference_check(state, config, k0=2.0, step=0.0)
 
 
 def test_jacobian_against_finite_differences_graded():

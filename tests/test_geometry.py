@@ -1,6 +1,6 @@
 """Curve evaluation, discretization, spectral differentiation, the
-geometry validity checks, closest approaches, and the one-pair memo of
-the pair analysis."""
+geometry validity checks, closest approaches, and who keeps the pair
+analysis: the Newton iterate, not geometry."""
 
 import collections
 import functools
@@ -24,6 +24,7 @@ from layerscat.geometry import (CONTAINMENT_MARGIN, GRADING_OFF,
 from layerscat.geometry import (_closest_approaches, _graded_node_maps,
                                 _pair_node_maps, _points_in_polygon,
                                 _polyline_separation)
+from layerscat.inverse import ShapeState
 
 from _oracles import (closest_approaches, curve_is_simple,
                       min_point_polyline_distance, node_map_density,
@@ -342,10 +343,8 @@ def _longest_segment(pts):
 
 @pytest.mark.parametrize("n_check", [VALIDATION_GRID, 24])
 def test_pair_checks_match_all_pairs_oracle(n_check, monkeypatch):
-    # validate_pair checks on the VALIDATION_GRID; a fresh memo slot keeps
-    # a 24-point separation away from the grading shortcut
+    # validate_pair checks on the VALIDATION_GRID
     monkeypatch.setattr(geometry, "VALIDATION_GRID", n_check)
-    monkeypatch.setattr(geometry, "_last_pair", None)
     rng = np.random.default_rng(20121122)
     pairs = [_random_pair(rng) for _ in range(200)]
     pairs += [_spiked_pair(rng) for _ in range(10)]
@@ -549,12 +548,11 @@ def test_closest_approaches_match_scalar_newton(name, tie):
 
 
 # ---------------------------------------------------------------------------
-# One pair analysis per curve pair
+# One pair analysis per Newton iterate, none kept by geometry
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Count the distance-table builds (full pair analyses) from a
-    cleared memo."""
+    """Count the distance-table builds (full pair analyses)."""
     calls = []
 
     def counted(outer, inner):
@@ -562,53 +560,58 @@ def table_builds(monkeypatch):
         return _graded_node_maps(outer, inner)
 
     monkeypatch.setattr(geometry, "_graded_node_maps", counted)
-    monkeypatch.setattr(geometry, "_last_pair", None)
     return calls
 
 
-def test_same_shapes_hit_the_memo_and_new_shapes_miss(table_builds):
-    outer, inner = _iterate_pair(30)
-    maps = _pair_node_maps(outer, inner)
-    assert len(table_builds) == 1 and maps[0] is not None
-    # new ParametricCurve wrappers of the same shapes, as ShapeState.curves
-    # builds them for every solve
-    again = _pair_node_maps(ParametricCurve.starlike(outer.shape),
-                            ParametricCurve.starlike(inner.shape))
-    assert len(table_builds) == 1
-    assert again[0] is maps[0] and again[1] is maps[1]
-    # an equal but new shape is a new curve pair
-    copy = StarlikeShape(inner.shape.center, inner.shape.coeffs)
-    fresh = _pair_node_maps(outer, ParametricCurve.starlike(copy))
-    assert len(table_builds) == 2 and fresh[1] is not maps[1]
-    assert np.array_equal(fresh[1].weights, maps[1].weights)
-    # presets are keyed by the curve object
-    square, kite = (ParametricCurve.preset("rounded_square"),
-                    ParametricCurve.preset("kite"))
-    _pair_node_maps(square, kite)
-    _pair_node_maps(square, kite)
-    assert len(table_builds) == 3
-    _pair_node_maps(square, ParametricCurve.preset("kite"))
+def _iterate_state(m):
+    """Gate 6's Newton iterate m as a ShapeState."""
+    outer, inner = _iterate_pair(m)
+    return ShapeState(outer.shape, inner.shape, lambda1=1e-3)
+
+
+def test_states_own_their_analyses_and_discretize_pair_does_not(
+        table_builds):
+    # two iterates alternate, as the resolution checks of two geometries
+    calls = [(_iterate_state(21), 32), (_iterate_state(30), 48)] * 2
+    grids = [state.grids(n) for state, n in calls]
+    assert len(table_builds) == 2
+    # the same calls through discretize_pair analyse every time, and give
+    # the states' grids bit for bit
+    table_builds.clear()
+    for (state, n), ref in zip(calls, grids):
+        for got, want in zip(discretize_pair(*state.curves(), n), ref):
+            for name in ("t", "dt", "x", "dx", "ddx"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
     assert len(table_builds) == 4
 
 
-def test_memo_retains_at_most_one_pair(table_builds):
-    outer, inner = _iterate_pair(21)
-    alive = weakref.ref(inner.shape)
-    validate_pair(outer, inner)
-    _pair_node_maps(outer, inner)
-    other = _iterate_pair(30)
-    _pair_node_maps(*other)
-    assert all(a is b for a, b in zip(geometry._last_pair.key,
-                                      (other[0].shape, other[1].shape)))
-    del outer, inner
+def test_state_node_maps_are_freed_with_the_state(table_builds):
+    state = _iterate_state(21)
+    maps = state.node_maps
+    assert maps[0] is not None and len(table_builds) == 1
+    assert state.node_maps is maps and len(table_builds) == 1
+    alive = weakref.ref(maps[0])
+    del state, maps
     gc.collect()
     assert alive() is None
-    # a rejected pair leaves the slot alone
-    bad = ParametricCurve.starlike(StarlikeShape((0.0, 0.0), [0.3, 0.4, 0.0]))
-    with pytest.raises(GeometryError):
-        validate_pair(other[0], bad)
-    assert all(a is b for a, b in zip(geometry._last_pair.key,
-                                      (other[0].shape, other[1].shape)))
+
+
+@pytest.mark.parametrize("n_check", [VALIDATION_GRID, 24])
+def test_discretize_pair_ignores_validate_pair(n_check, monkeypatch):
+    # no separation from validate_pair reaches the grading shortcut, not
+    # even one measured on a coarse (24-point) validation grid
+    monkeypatch.setattr(geometry, "VALIDATION_GRID", n_check)
+    pairs = [_iterate_pair(21), CLOSE_PAIRS["kite/rounded_square"](),
+             (ParametricCurve.preset("circle", radius=2.0),
+              ParametricCurve.preset("circle", radius=1.0))]
+    fresh = [discretize_pair(*pair, 32) for pair in pairs]
+    for pair, ref in zip(pairs, fresh):
+        for other in pairs:
+            validate_pair(*other)
+            for got, want in zip(discretize_pair(*pair, 32), ref):
+                for name in ("t", "dt", "x", "dx", "ddx"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(want, name))
 
 
 @pytest.mark.parametrize("offset,skipped", [(0.51, False), (0.49, True)])
@@ -622,7 +625,7 @@ def test_separation_skip_matches_full_analysis(table_builds, offset, skipped):
     separation = validate_pair(outer, inner)
     assert abs(separation - (1.0 - offset)) < 5e-3
     assert (separation >= GRADING_OFF) == skipped
-    maps = _pair_node_maps(outer, inner)
+    maps = _pair_node_maps(outer, inner, separation)
     assert len(table_builds) == (0 if skipped else 1)
     full = _graded_node_maps(outer, inner)
     assert (maps == (None, None)) == (full == (None, None)) == skipped
@@ -637,29 +640,23 @@ def test_one_table_build_per_newton_iterate(table_builds, monkeypatch):
     # gate 6's setup from its iterate 21 (separation 0.42, graded), cut
     # to two steps on a ladder with a resolution check at the start
     from layerscat.data_io import synthesize
-    from layerscat.inverse import (ShapeState, SolverConfig,
-                                   newton_iteration)
+    from layerscat.inverse import SolverConfig, newton_iteration
 
-    pair_calls = []
-    discretize_pair = geometry.discretize_pair
+    grid_calls = []
+    grids = ShapeState.grids
 
-    def counted(outer, inner, n):
-        pair_calls.append(n)
-        return discretize_pair(outer, inner, n)
+    def counted(state, n):
+        grid_calls.append(n)
+        return grids(state, n)
 
     config = SolverConfig(frequencies=(1.0,), num_incident=3,
                           max_iterations=2, n_synth=64)
     dataset = synthesize(ParametricCurve.preset("rounded_square"),
                          ParametricCurve.preset("kite"), 1e-6, config)
     table_builds.clear()
-    import layerscat.forward as forward
-    monkeypatch.setattr(forward, "discretize_pair", counted)
-    it = next(i for i in ITERATES if i["m"] == 21)
-    state = ShapeState(StarlikeShape((0.0, 0.0), it["r0_coeffs"]),
-                       StarlikeShape(it["center1"], it["r1_coeffs"]),
-                       lambda1=1e-3)
-    validate_pair(*state.curves())
+    monkeypatch.setattr(ShapeState, "grids", counted)
+    state = _iterate_state(21)
     _, records = newton_iteration(state, dataset.values[0], 1.0, config)
     assert records[0].resolution_estimate is not None  # the ladder ran
-    assert len(pair_calls) > len(records)
+    assert len(grid_calls) > len(records)
     assert 1 <= len(table_builds) <= len(records)

@@ -384,13 +384,13 @@ def _counting_solves(monkeypatch):
     import layerscat.inverse as inv
 
     sizes = []
-    real_solve = inv.solve_plane_wave
+    real_solve = inv.solve_on_grids
 
-    def counting(curve0, curve1, params, d, n, obs):
-        sizes.append(n)
-        return real_solve(curve0, curve1, params, d, n, obs)
+    def counting(grid0, grid1, params, d, obs):
+        sizes.append(grid0.n)
+        return real_solve(grid0, grid1, params, d, obs)
 
-    monkeypatch.setattr(inv, "solve_plane_wave", counting)
+    monkeypatch.setattr(inv, "solve_on_grids", counting)
     return sizes
 
 

@@ -71,18 +71,18 @@ def test_solver_failure_aborts_only_its_stage(monkeypatch):
 
     import layerscat.inverse as inv
 
-    real_solve = inv.solve_plane_wave
+    real_solve = inv.solve_on_grids
     stage2_solves = []
 
-    def failing(curve0, curve1, params, d, n, obs):
+    def failing(grid0, grid1, params, d, obs):
         # the second forward solve of the k0 = 3 stage fails
         if params.k0 == 3.0:
             stage2_solves.append(params.lambda1)
             if len(stage2_solves) == 2:
                 raise SolverError("forced for the abort test")
-        return real_solve(curve0, curve1, params, d, n, obs)
+        return real_solve(grid0, grid1, params, d, obs)
 
-    monkeypatch.setattr(inv, "solve_plane_wave", failing)
+    monkeypatch.setattr(inv, "solve_on_grids", failing)
     state, trace = multi_frequency_drive(state0, dataset, config)
     assert [s[3] for s in trace.stage_final] == [False, True, False]
     stage2 = [r for r in trace.iterations if r.k0 == 3.0]
